@@ -17,7 +17,7 @@ from .analysis import (
     is_direction_bounded,
     split,
 )
-from .linalg import Matrix, TransformMatrix, hermite_normal_form, is_lower_triangular_with_gaps, is_mctm, is_mehnf, piv, reduced_echelon_column_form
+from .linalg import Matrix, TransformMatrix, hermite_normal_form, is_lower_triangular_with_gaps, is_mctm, is_mehnf, piv
 from .model import (
     Budget,
     ConstraintSystem,
@@ -29,10 +29,8 @@ from .model import (
     Unsat,
     VarInfo,
     VarKind,
-    apply_column_transform,
     check_certificate,
     check_model,
-    convert_model,
     normalize,
 )
 from .mehnf import MehState, batch_mehnf

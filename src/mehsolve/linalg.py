@@ -10,9 +10,15 @@ transformation pipeline, plus:
 
 * ``piv`` and the shape predicates ``is_lower_triangular_with_gaps``,
   ``is_hermite_normal_form``, ``is_mehnf`` and ``is_mctm``,
-* ``reduced_echelon_column_form`` (invertible rational column reduction),
-* ``hermite_normal_form`` (unimodular integer column reduction, also valid
-  for rational input matrices),
+* the two column steps every normal form here is built from, each of which
+  acts on one pivot row of h and mirrors every column operation on v:
+  ``reduce_rat`` (swap, scale to 1, eliminate the rest of the row) and the
+  Euclidean step ``reduce_left_int`` (gcd reduction right of the pivot)
+  followed by ``reduce_right_int`` (reduction into ``[0, pivot)``),
+* ``column_reduce`` (invertible rational column reduction, a loop over
+  ``reduce_rat``) and ``hermite_normal_form`` (unimodular integer column
+  reduction, a loop over the Euclidean step, also valid for rational input
+  matrices); ``mehnf`` uses the same steps for the incremental normal form,
 * exact inversion, rank and determinant.
 
 Column indices in the public pivot helpers are 1-based to match the usual
@@ -35,6 +41,10 @@ _ONE = Fraction(1)
 
 class SingularMatrixError(ValueError):
     """Raised when a matrix that must be invertible is singular."""
+
+
+class GapPreconditionError(ValueError):
+    """A column step was called on a row with nothing to reduce."""
 
 
 def frac(value) -> Fraction:
@@ -127,9 +137,6 @@ class Matrix:
         if len(v) != self.n:
             raise ValueError("dimension mismatch in matrix-vector product")
         return [sum((a * x for a, x in zip(row, v) if a), _ZERO) for row in self.rows]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows)) if self.rows else Matrix.zeros(self.n, 0)
 
     # -- column operations (in place) ---------------------------------
 
@@ -346,21 +353,102 @@ def is_mctm(v: Matrix, n1: int, n2: int) -> bool:
     return True
 
 
-def reduced_echelon_column_form(m: Matrix) -> tuple[Matrix, Matrix, int]:
-    """Column-reduce m over the rationals.
+def reduce_rat(h: Matrix, v: Matrix, p_row: int, p_col: int, j: int) -> None:
+    """Rational pivot step on row p_row.
 
-    Returns (h, v, r) with h = m * v, v invertible, and r = rank(m).  The
-    r pivot rows of h are unit rows e_1 .. e_r (in the order the pivots
-    were discovered scanning top to bottom), and every other row of h is
-    zero in columns r+1 .. n.
+    Swaps column j into position p_col, scales it so the pivot becomes 1
+    and clears every other entry of the row by adding multiples of the
+    pivot column.  Requires a non-zero entry at (p_row, j).
     """
-    h, v, _ = column_reduce(m)
-    r = sum(1 for j in range(h.n) if any(row[j] for row in h.rows))
-    return h, v, r
+    h.col_swap(p_col, j)
+    v.col_swap(p_col, j)
+    row = h.rows[p_row]
+    pivot = row[p_col]
+    if pivot != 1:
+        inv = 1 / pivot
+        h.col_scale(p_col, inv)
+        v.col_scale(p_col, inv)
+    for k in range(h.n):
+        if k != p_col and row[k]:
+            f = -row[k]
+            h.col_addmul(k, p_col, f)
+            v.col_addmul(k, p_col, f)
+
+
+def abstract_to_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int):
+    """Sign-normalize columns right of the pivot and scale to integers.
+
+    Negates every column i >= p_col whose entry in the pivot row is
+    negative (in both h and v), computes the lcm c of the denominators of
+    the pivot row's integer-block entries, and returns (c, s) where s maps
+    column index to the positive integer image entry * c.
+    """
+    row = h.rows[p_row]
+    for j in range(p_col, h.n):
+        if row[j] < 0:
+            h.col_negate(j)
+            v.col_negate(j)
+    c = math.lcm(*(row[j].denominator for j in range(n1, h.n))) if h.n > n1 else 1
+    s = {j: int(row[j] * c) for j in range(p_col, h.n) if row[j] > 0}
+    return c, s
+
+
+def reduce_left_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int) -> None:
+    """Euclidean column reduction of the pivot row right of p_col.
+
+    Runs gcd elimination over the scaled entries until a single non-zero
+    entry remains, then swaps that gcd column into position p_col.  Only
+    columns >= p_col are touched.
+    """
+    _, s = abstract_to_int(h, v, p_row, p_col, n1)
+    if not s:
+        raise GapPreconditionError("no non-zero entries right of the pivot position")
+    while len(s) > 1:
+        i0 = min(s, key=lambda j: (s[j], j))
+        base = s[i0]
+        for j in sorted(s):
+            if j == i0:
+                continue
+            q = s[j] // base
+            if q:
+                h.col_addmul(j, i0, Fraction(-q))
+                v.col_addmul(j, i0, Fraction(-q))
+            s[j] -= q * base
+            if not s[j]:
+                del s[j]
+    gcd_col = next(iter(s))
+    h.col_swap(p_col, gcd_col)
+    v.col_swap(p_col, gcd_col)
+
+
+def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int) -> None:
+    """Reduce the pivot row's earlier integer entries into [0, pivot).
+
+    Subtracts floor(entry / pivot) times the pivot column from each
+    integer column left of it, working on the lcm-scaled integer images
+    of the pivot row's integer-block entries.
+    """
+    row = h.rows[p_row]
+    pivot = row[p_col]
+    if pivot <= 0:
+        raise GapPreconditionError("pivot must be positive before right reduction")
+    c = math.lcm(*(row[j].denominator for j in range(n1, h.n)))
+    spp = pivot * c
+    for j in range(n1, p_col):
+        q = (row[j] * c) // spp
+        if q:
+            h.col_addmul(j, p_col, Fraction(-q))
+            v.col_addmul(j, p_col, Fraction(-q))
 
 
 def column_reduce(m: Matrix) -> tuple[Matrix, Matrix, list[int]]:
-    """Greedy top-to-bottom column reduction; also reports pivot rows."""
+    """Greedy top-to-bottom rational column reduction.
+
+    Returns (h, v, pivot_rows) with h = m * v and v invertible.  Each row
+    that is independent of the rows above it becomes a pivot row: it is
+    listed in pivot_rows and turned into the next unit row e_1, e_2, ...;
+    every other row is zero right of len(pivot_rows) = rank(m).
+    """
     h = m.copy()
     v = Matrix.identity(m.n)
     pivot_rows: list[int] = []
@@ -374,18 +462,7 @@ def column_reduce(m: Matrix) -> tuple[Matrix, Matrix, list[int]]:
                 break
         else:
             continue
-        h.col_swap(r, j)
-        v.col_swap(r, j)
-        pivot = row[r]
-        if pivot != 1:
-            inv = 1 / pivot
-            h.col_scale(r, inv)
-            v.col_scale(r, inv)
-        for j in range(h.n):
-            if j != r and row[j]:
-                f = -row[j]
-                h.col_addmul(j, r, f)
-                v.col_addmul(j, r, f)
+        reduce_rat(h, v, i, r, j)
         pivot_rows.append(i)
         r += 1
     return h, v, pivot_rows
@@ -406,41 +483,10 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
     for i in range(h.m):
         if c == h.n:
             break
-        row = h.rows[i]
-        if not any(row[c:]):
+        if not any(h.rows[i][c:]):
             continue
-        # Sign-normalize, then run the Euclidean algorithm on the scaled
-        # integer images of the entries right of the frontier.
-        for j in range(c, h.n):
-            if row[j] < 0:
-                h.col_negate(j)
-                u.col_negate(j)
-        scale = math.lcm(*(row[j].denominator for j in range(c, h.n)))
-        s = {j: row[j] * scale for j in range(c, h.n) if row[j]}
-        while len(s) > 1:
-            i0 = min(s, key=lambda j: (s[j], j))
-            base = s[i0]
-            for j in sorted(s):
-                if j == i0:
-                    continue
-                q = s[j] // base
-                if q:
-                    h.col_addmul(j, i0, -q)
-                    u.col_addmul(j, i0, -q)
-                s[j] -= q * base
-                if not s[j]:
-                    del s[j]
-        gcd_col = next(iter(s))
-        h.col_swap(c, gcd_col)
-        u.col_swap(c, gcd_col)
-        # Reduce the entries left of the new pivot into [0, pivot).
-        pivot = row[c]
-        for j in range(c):
-            if row[j]:
-                q = row[j] // pivot
-                if q:
-                    h.col_addmul(j, c, -q)
-                    u.col_addmul(j, c, -q)
+        reduce_left_int(h, u, i, c, 0)
+        reduce_right_int(h, u, i, c, 0)
         c += 1
     return h, u
 

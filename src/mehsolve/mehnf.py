@@ -7,12 +7,15 @@ block into Hermite normal form.
 
 ``MehState`` maintains the same normal form one inequality at a time.  An
 extension transforms the incoming row by the current matrix V and then
-either fills the next rational gap (``extend_rat``: swap, scale, full
-elimination), fills the next integer gap (``extend_int``: Euclidean
-``reduce_left_int`` then modular ``reduce_right_int``), or is appended
-unchanged.  All column operations act only on columns that are zero in
-every previously inserted row, so earlier inequalities survive verbatim
-and backtracking is a plain row removal that leaves V untouched.
+either fills the next rational gap (the rational pivot step
+``linalg.reduce_rat``: swap, scale, full elimination), fills the next
+integer gap (the Euclidean step ``linalg.reduce_left_int`` then
+``linalg.reduce_right_int``), or is appended unchanged.  These are the
+same column steps that ``linalg.column_reduce`` and
+``linalg.hermite_normal_form`` loop over.  All column operations act only
+on columns that are zero in every previously inserted row, so earlier
+inequalities survive verbatim and backtracking is a plain row removal
+that leaves V untouched.
 
 Coefficient blow-up in V is bounded by a bit-size valve: when any entry
 exceeds the configured limit, the state is rebuilt via ``batch_mehnf``
@@ -22,19 +25,25 @@ cheap-removal property, so backtracking over them rebuilds as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, TransformMatrix, column_reduce, frac, hermite_normal_form, is_mctm, is_mehnf
+from .linalg import (
+    Matrix,
+    TransformMatrix,
+    column_reduce,
+    frac,
+    hermite_normal_form,
+    is_mctm,
+    is_mehnf,
+    reduce_left_int,
+    reduce_rat,
+    reduce_right_int,
+)
 from .model import DimensionMismatchError
 
 _ZERO = Fraction(0)
-
-
-class GapPreconditionError(ValueError):
-    """An extension helper was called on a column that is not a gap."""
 
 
 def rpiv(k: int, h: Matrix, n1: int) -> int:
@@ -57,72 +66,6 @@ def ipiv(k: int, h: Matrix, n1: int) -> int:
         if any(h.rows[i][j - 1] for i in range(min(k, h.m))):
             return j
     return n1
-
-
-def abstract_to_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int):
-    """Sign-normalize columns right of the pivot and scale to integers.
-
-    Negates every column i >= p_col whose entry in the pivot row is
-    negative (in both h and v), computes the lcm c of the denominators of
-    the pivot row's integer-block entries, and returns (c, s) where s maps
-    column index to the positive integer image entry * c.
-    """
-    row = h.rows[p_row]
-    for j in range(p_col, h.n):
-        if row[j] < 0:
-            h.col_negate(j)
-            v.col_negate(j)
-    c = math.lcm(*(row[j].denominator for j in range(n1, h.n))) if h.n > n1 else 1
-    s = {j: int(row[j] * c) for j in range(p_col, h.n) if row[j] > 0}
-    return c, s
-
-
-def reduce_left_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int) -> None:
-    """Euclidean column reduction of the pivot row right of p_col.
-
-    Runs gcd elimination over the scaled entries until a single non-zero
-    entry remains, then swaps that gcd column into position p_col.  Only
-    columns >= p_col are touched.
-    """
-    _, s = abstract_to_int(h, v, p_row, p_col, n1)
-    if not s:
-        raise GapPreconditionError("no non-zero entries right of the pivot position")
-    while len(s) > 1:
-        i0 = min(s, key=lambda j: (s[j], j))
-        base = s[i0]
-        for j in sorted(s):
-            if j == i0:
-                continue
-            q = s[j] // base
-            if q:
-                h.col_addmul(j, i0, Fraction(-q))
-                v.col_addmul(j, i0, Fraction(-q))
-            s[j] -= q * base
-            if not s[j]:
-                del s[j]
-    gcd_col = next(iter(s))
-    h.col_swap(p_col, gcd_col)
-    v.col_swap(p_col, gcd_col)
-
-
-def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int) -> None:
-    """Reduce the pivot row's earlier integer entries into [0, pivot).
-
-    Subtracts floor(entry / pivot) times the pivot column from each
-    integer column left of it, working on the lcm-scaled integer images
-    exactly as the incremental algorithm specifies.
-    """
-    row = h.rows[p_row]
-    pivot = row[p_col]
-    if pivot <= 0:
-        raise GapPreconditionError("pivot must be positive before right reduction")
-    c = math.lcm(*(row[j].denominator for j in range(n1, h.n)))
-    spp = pivot * c
-    for j in range(n1, p_col):
-        q = (row[j] * c) // spp
-        if q:
-            h.col_addmul(j, p_col, Fraction(-q))
-            v.col_addmul(j, p_col, Fraction(-q))
 
 
 @dataclass(frozen=True)
@@ -205,22 +148,9 @@ class MehState:
         self.h.insert_row(pos, hrow)
         self.u.insert(pos, b)
         self.row_order.insert(pos, len(self.inserted))
-        p = r  # 0-based pivot column for the new identity row
-        if j_rat - 1 != p:
-            self.h.col_swap(p, j_rat - 1)
-            self.v.col_swap(p, j_rat - 1)
-        row = self.h.rows[pos]
-        pivot = row[p]
-        if pivot != 1:
-            inv = 1 / pivot
-            self.h.col_scale(p, inv)
-            self.v.col_scale(p, inv)
-        for j in range(self.n):
-            if j != p and row[j]:
-                f = -row[j]
-                self.h.col_addmul(j, p, f)
-                self.v.col_addmul(j, p, f)
-        return ExtensionRecord("rat", pos, (p,))
+        # The new identity row pivots in column r (0-based).
+        reduce_rat(self.h, self.v, pos, r, j_rat - 1)
+        return ExtensionRecord("rat", pos, (r,))
 
     def _extend_int(self, hrow, b) -> ExtensionRecord:
         r = self.rank_rational
@@ -294,61 +224,6 @@ class MehState:
         assert stacked * self.v == self.h, "H != C V replay check failed"
         assert [self.inserted[i][1] for i in self.row_order] == self.u, \
             "bounds out of sync with rows"
-
-
-def extend_meh(state: MehState, a: Sequence, b) -> MehState:
-    return state.extend(a, b)
-
-
-def extend_rat(state: MehState, h: Sequence, b, j: int) -> MehState:
-    """Insert a transformed row that fills the rational gap column j (1-based).
-
-    ``h`` is the row already multiplied by the state's V; the matching
-    untransformed row is recorded so the replay invariant H = C V stays
-    checkable.
-    """
-    h = [frac(x) for x in h]
-    if not (1 <= j <= state.n1) or not h[j - 1]:
-        raise GapPreconditionError("extend_rat needs a non-zero rational entry at j")
-    if any(state.h.rows[i][j - 1] for i in range(state.h.m)):
-        raise GapPreconditionError(f"column {j} is not a gap")
-    original = tuple(_untransform(state, h))
-    record = state._extend_rat(h, frac(b), j)
-    state.inserted.append((original, frac(b)))
-    state.history.append(record)
-    if state.validate:
-        state.check_invariants()
-    return state
-
-
-def extend_int(state: MehState, h: Sequence, b, j: int) -> MehState:
-    """Insert a transformed row that fills the integer gap column j (1-based)."""
-    h = [frac(x) for x in h]
-    if not (state.n1 < j <= state.n) or not h[j - 1]:
-        raise GapPreconditionError("extend_int needs a non-zero integer entry at j")
-    if any(state.h.rows[i][j - 1] for i in range(state.h.m)):
-        raise GapPreconditionError(f"column {j} is not a gap")
-    if rpiv(1, Matrix([h]), state.n1) > state.rank_rational:
-        raise GapPreconditionError("row fills a rational gap; extend_rat applies first")
-    original = tuple(_untransform(state, h))
-    record = state._extend_int(h, frac(b))
-    state.inserted.append((original, frac(b)))
-    state.history.append(record)
-    if state.validate:
-        state.check_invariants()
-    return state
-
-
-def _untransform(state: MehState, h: Sequence) -> list:
-    vinv = state.v.invert()
-    return [
-        sum((h[k] * vinv.rows[k][j] for k in range(state.n) if h[k]), Fraction(0))
-        for j in range(state.n)
-    ]
-
-
-def backtrack(state: MehState) -> MehState:
-    return state.backtrack()
 
 
 def batch_mehnf(d: Matrix, n1: int) -> tuple[Matrix, TransformMatrix, tuple[int, ...]]:

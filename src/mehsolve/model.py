@@ -12,14 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Matrix, TransformMatrix, frac
+from .linalg import Matrix, frac
 
 
 class DimensionMismatchError(ValueError):
-    pass
-
-
-class MctmViolationError(ValueError):
     pass
 
 
@@ -136,12 +132,6 @@ class Model:
 
     values: list[Fraction]
 
-    def value_of(self, sys: ConstraintSystem, name: str) -> Fraction:
-        for j, v in enumerate(sys.variables):
-            if v.name == name:
-                return self.values[j]
-        raise KeyError(name)
-
 
 @dataclass
 class FarkasCertificate:
@@ -253,28 +243,6 @@ def check_certificate(sys: ConstraintSystem, cert: FarkasCertificate) -> bool:
                 if a:
                     combo[j] += mult * a
     return not any(combo) and rhs < 0
-
-
-def apply_column_transform(sys: ConstraintSystem, v: TransformMatrix) -> ConstraintSystem:
-    """Return the system (A V) y <= b over fresh variables of the same types."""
-    if v.n1 != sys.n1 or v.n2 != sys.n2:
-        raise MctmViolationError(
-            f"transform split {v.n1}+{v.n2} does not match system {sys.n1}+{sys.n2}")
-    fresh = [VarInfo(f"y{j}", var.kind) for j, var in enumerate(sys.variables)]
-    return ConstraintSystem(
-        sys.matrix * v.matrix,
-        list(sys.bounds),
-        fresh,
-        None,
-        list(sys.row_tags),
-    )
-
-
-def convert_model(v: TransformMatrix, t: Model) -> Model:
-    """Map a model of the transformed system back through x = V y."""
-    if len(t.values) != v.n:
-        raise DimensionMismatchError("model length does not match transform size")
-    return Model(v.apply(t.values))
 
 
 def format_model(sys: ConstraintSystem, model: Model) -> str:

@@ -65,13 +65,11 @@ class SolveOptions:
     branch_limit: int = 10**6
     depth_limit: int = 10**5
     time_budget: float = 60.0
-    branch_rule: str = "most-fractional"  # or "first-fractional"
 
     def __post_init__(self):
-        if self.branch_limit <= 0 or self.depth_limit <= 0 or self.time_budget <= 0:
+        # Written as not (x > 0) so that NaN is rejected too.
+        if not (self.branch_limit > 0 and self.depth_limit > 0 and self.time_budget > 0):
             raise ValueError("limits must be positive")
-        if self.branch_rule not in ("most-fractional", "first-fractional"):
-            raise ValueError(f"unknown branch rule {self.branch_rule!r}")
 
 
 @dataclass
@@ -80,13 +78,6 @@ class VarBounds:
 
     lower: dict[int, Fraction] = field(default_factory=dict)
     upper: dict[int, Fraction] = field(default_factory=dict)
-
-    def consistent(self) -> bool:
-        return all(
-            self.lower[j] <= self.upper[j]
-            for j in self.lower
-            if j in self.upper
-        )
 
     def box_size(self) -> Optional[int]:
         """Number of integer grid points of the box, None when infinite."""
@@ -228,6 +219,12 @@ def propagate_bounds(h: Matrix, lower: Sequence, upper: Sequence) -> VarBounds:
     pivot order; in each one the pivot variable is isolated and bounded by
     interval arithmetic over the already-bounded earlier columns.  Gap
     columns receive no bounds.
+
+    This is the termination lemma for the transformed system, not a
+    pipeline phase: ``solve`` never passes the box on, because the rows of
+    the double-bounded MEHNF system already imply it, so branch-and-bound
+    stays inside it.  The tests check that it is finite on every non-gap
+    column.
     """
     if not is_lower_triangular_with_gaps(h):
         raise StructureViolationError("matrix is not lower triangular with gaps")
@@ -267,14 +264,13 @@ def propagate_bounds(h: Matrix, lower: Sequence, upper: Sequence) -> VarBounds:
 # -- branch and bound ---------------------------------------------------------
 
 
-def _pick_branch_var(sys: ConstraintSystem, beta, rule: str) -> Optional[int]:
+def _pick_branch_var(sys: ConstraintSystem, beta) -> Optional[int]:
+    """The most fractional integer column of beta, or None if all are integral."""
     best = None
     best_score = None
     for j in sys.integer_columns():
         if beta[j].denominator == 1:
             continue
-        if rule == "first-fractional":
-            return j
         f = beta[j] - math.floor(beta[j])
         score = min(f, 1 - f)
         if best_score is None or score > best_score:
@@ -370,7 +366,7 @@ def branch_and_bound(
             results.append(RefutationLeaf(row_mults, cut_mults))
             continue
         beta = inst.assignment()
-        var = _pick_branch_var(sys, beta, opts.branch_rule)
+        var = _pick_branch_var(sys, beta)
         if var is None:
             stats.lp_pivots += inst.pivots
             model = Model(list(beta))
@@ -608,14 +604,9 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
     sp = split(norm, cls)
     t0 = time.monotonic()
     h, v, row_perm = batch_mehnf(sp.bounded.matrix, norm.n1)
+    stats.transform_seconds = time.monotonic() - t0
     upper = [sp.bounded.bounds[i] for i in row_perm]
     lower = [sp.lower[i] for i in row_perm]
-    box = propagate_bounds(h, lower, upper)
-    stats.transform_seconds = time.monotonic() - t0
-    if __debug__:
-        nonzero = {j for j in range(h.n) if any(r[j] for r in h.rows)}
-        assert all(j in box.lower and j in box.upper for j in nonzero), \
-            "propagation left a non-gap column unbounded"
 
     tsys = transformed_system(norm, h, lower, upper)
     res = branch_and_bound(tsys, None, opts, stats, deadline)

@@ -8,6 +8,7 @@ from mehsolve.linalg import (
     Matrix,
     SingularMatrixError,
     TransformMatrix,
+    column_reduce,
     format_matrix,
     hermite_normal_form,
     is_hermite_normal_form,
@@ -16,7 +17,6 @@ from mehsolve.linalg import (
     is_mehnf,
     parse_matrix,
     piv,
-    reduced_echelon_column_form,
 )
 
 from helpers import matrices, mctms, small_fractions
@@ -65,40 +65,41 @@ class TestLowerTriangularWithGaps:
 
 
 class TestReducedEchelonColumnForm:
+    """column_reduce brings a matrix into reduced echelon column form."""
+
     def test_identity(self):
-        h, v, r = reduced_echelon_column_form(Matrix.identity(2))
+        h, v, pivot_rows = column_reduce(Matrix.identity(2))
         assert h == Matrix.identity(2)
         assert v == Matrix.identity(2)
-        assert r == 2
+        assert pivot_rows == [0, 1]
 
     def test_single_row(self):
         m = Matrix([[2, 4]])
-        h, v, r = reduced_echelon_column_form(m)
+        h, v, pivot_rows = column_reduce(m)
         assert h == Matrix([[1, 0]])
         assert v == Matrix([[Fraction(1, 2), -2], [0, 1]])
-        assert r == 1
+        assert pivot_rows == [0]
 
     def test_zero_matrix(self):
         m = Matrix.zeros(2, 2)
-        h, v, r = reduced_echelon_column_form(m)
+        h, v, pivot_rows = column_reduce(m)
         assert h == m
         assert v == Matrix.identity(2)
-        assert r == 0
+        assert pivot_rows == []
 
     @given(matrices())
     def test_properties(self, m):
-        h, v, r = reduced_echelon_column_form(m)
+        h, v, pivot_rows = column_reduce(m)
+        r = len(pivot_rows)
         assert h == m * v
         assert v.det() != 0
         assert r == m.rank() == h.rank()
-        # Rows linearly dependent on the pivot rows are zero right of r.
-        for row in h.rows:
-            assert all(x == 0 for x in row[r:]) or _is_unit_row(row, h.n)
-
-
-def _is_unit_row(row, n):
-    ones = [j for j, x in enumerate(row) if x == 1]
-    return len(ones) == 1 and sum(1 for x in row if x) == 1
+        # Pivot rows become e_1 .. e_r; every other row is zero right of r.
+        for k, i in enumerate(pivot_rows):
+            assert h.rows[i] == Matrix.identity(h.n).rows[k]
+        for i, row in enumerate(h.rows):
+            if i not in pivot_rows:
+                assert all(x == 0 for x in row[r:])
 
 
 class TestHermiteNormalForm:

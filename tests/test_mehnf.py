@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mehsolve.linalg import Matrix, is_mctm, is_mehnf
-from mehsolve.mehnf import (
+from mehsolve.linalg import (
     GapPreconditionError,
-    MehState,
+    Matrix,
     abstract_to_int,
-    batch_mehnf,
-    ipiv,
+    is_mctm,
+    is_mehnf,
     reduce_left_int,
     reduce_right_int,
-    rpiv,
 )
+from mehsolve.mehnf import MehState, batch_mehnf, ipiv, rpiv
 
 from helpers import small_ints
 
@@ -106,6 +105,10 @@ class TestReduceRightInt:
         v = Matrix.identity(2)
         reduce_right_int(h, v, 0, 1, 0)
         assert h.rows[0] == [2, 3]
+
+    def test_nonpositive_pivot_rejected(self):
+        with pytest.raises(GapPreconditionError):
+            reduce_right_int(Matrix([[1, -3]]), Matrix.identity(2), 0, 1, 0)
 
 
 class TestBatchMehnf:
@@ -281,31 +284,3 @@ class TestStackDiscipline:
 def _nonzero_cols(h):
     return sum(1 for j in range(h.n) if any(row[j] for row in h.rows))
 
-
-class TestDirectExtendOps:
-    def test_extend_rat_precondition_violation(self):
-        state = MehState(2, 0, validate=True)
-        state.extend([2, 0], 4)
-        from mehsolve.mehnf import extend_rat
-        with pytest.raises(GapPreconditionError):
-            extend_rat(state, [1, 0], 1, 1)  # column 1 already has a pivot
-
-    def test_extend_rat_direct(self):
-        from mehsolve.mehnf import extend_rat
-        state = MehState(2, 1, validate=True)
-        extend_rat(state, [0, 3, 1], 6, 2)
-        assert state.history[-1].kind == "rat"
-        assert state.h.rows[0][0] == 1
-
-    def test_extend_int_rejects_rational_gap_filler(self):
-        from mehsolve.mehnf import extend_int
-        state = MehState(1, 1, validate=True)
-        with pytest.raises(GapPreconditionError):
-            extend_int(state, [1, 2], 0, 2)
-
-    def test_extend_int_direct(self):
-        from mehsolve.mehnf import extend_int
-        state = MehState(0, 2, validate=True)
-        extend_int(state, [0, 5], 3, 2)
-        assert state.history[-1].kind == "int"
-        assert state.h == Matrix([[5, 0]])

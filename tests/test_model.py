@@ -9,15 +9,12 @@ from mehsolve.model import (
     ConstraintSystem,
     DimensionMismatchError,
     FarkasCertificate,
-    MctmViolationError,
     Model,
     TriviallyUnsat,
     VarInfo,
     VarKind,
-    apply_column_transform,
     check_certificate,
     check_model,
-    convert_model,
     format_certificate,
     format_model,
     normalize,
@@ -124,26 +121,26 @@ class TestCheckCertificate:
         assert check_certificate(sys, cert)
 
 
+def transformed(sys, tm):
+    """The system (A V) y <= b over fresh variables of the same types."""
+    fresh = [VarInfo(f"y{j}", var.kind) for j, var in enumerate(sys.variables)]
+    return ConstraintSystem(sys.matrix * tm.matrix, sys.bounds, fresh)
+
+
 class TestColumnTransform:
     def test_identity(self):
         sys = sec3_system()
         v = TransformMatrix(Matrix.identity(2), 0, 2)
-        assert apply_column_transform(sys, v).matrix == sys.matrix
+        assert transformed(sys, v).matrix == sys.matrix
 
     def test_band_transform(self):
         sys = sec3_system()
         v = TransformMatrix(Matrix([[1, 1], [0, 1]]), 0, 2)
-        out = apply_column_transform(sys, v)
-        assert out.matrix == Matrix([[3, 0], [-3, 0]])
+        assert transformed(sys, v).matrix == Matrix([[3, 0], [-3, 0]])
 
-    def test_split_mismatch(self):
-        sys = sec3_system()
-        with pytest.raises(MctmViolationError):
-            apply_column_transform(sys, TransformMatrix(Matrix.identity(2), 2, 0))
-
-    def test_convert_model_examples(self):
+    def test_apply_example(self):
         v = TransformMatrix(Matrix([[1, 1], [0, 1]]), 0, 2)
-        assert convert_model(v, Model([Fraction(0), Fraction(1)])).values == [1, 1]
+        assert v.apply([Fraction(0), Fraction(1)]) == [1, 1]
 
     @given(systems(max_n=4), mctms(max_n1=2, max_n2=2),
            st.lists(st.integers(-4, 4), min_size=4, max_size=4))
@@ -152,26 +149,25 @@ class TestColumnTransform:
         if n1 != sys.n1 or n2 != sys.n2:
             return
         tm = TransformMatrix(v, n1, n2)
-        transformed = apply_column_transform(sys, tm)
-        t = Model([Fraction(x) for x in tvals[: sys.n]])
-        # Solution conversion commutes with the predicate.
-        assert check_model(sys, convert_model(tm, t)) == check_model(transformed, t)
+        tsys = transformed(sys, tm)
+        t = [Fraction(x) for x in tvals[: sys.n]]
+        # Solution conversion x = V t commutes with the predicate.
+        assert check_model(sys, Model(tm.apply(t))) == check_model(tsys, Model(t))
         # Certificates transfer verbatim in both directions.
         y = FarkasCertificate([Fraction(abs(x)) for x in tvals[: sys.m]]
                               + [Fraction(0)] * max(0, sys.m - len(tvals)))
-        assert check_certificate(sys, y) == check_certificate(transformed, y)
+        assert check_certificate(sys, y) == check_certificate(tsys, y)
 
     @given(mctms(), st.lists(st.integers(-6, 6), min_size=6, max_size=6))
     def test_mixed_round_trip(self, vnn, tvals):
         v, n1, n2 = vnn
         tm = TransformMatrix(v, n1, n2)
-        t = Model([Fraction(x, 3) for x in tvals[:n1]]
-                  + [Fraction(x) for x in tvals[n1:n1 + n2]])
-        s = convert_model(tm, t)
+        t = ([Fraction(x, 3) for x in tvals[:n1]]
+             + [Fraction(x) for x in tvals[n1:n1 + n2]])
+        s = tm.apply(t)
         # Integer coordinates stay integral through the transform.
-        assert all(s.values[j].denominator == 1 for j in range(n1, n1 + n2))
-        back = convert_model(tm.inverse(), s)
-        assert back.values == t.values
+        assert all(s[j].denominator == 1 for j in range(n1, n1 + n2))
+        assert tm.inverse().apply(s) == t
 
 
 class TestFormatting:

@@ -1,10 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mehsolve.analysis import classify, split
+from mehsolve.analysis import Verdict, classify, split
 from mehsolve.linalg import Matrix
 from mehsolve.mehnf import batch_mehnf
 from mehsolve.model import (
@@ -32,6 +34,7 @@ from mehsolve.solver import (
     unit_cube_test,
 )
 
+import corpus
 from helpers import mk_system, systems
 
 
@@ -63,6 +66,23 @@ class TestPropagateBounds:
     def test_negative_pivot(self):
         out = propagate_bounds(Matrix([[-2, 0]]), [-4], [6])
         assert (out.lower[0], out.upper[0]) == (-3, 2)
+
+    def test_boxes_every_non_gap_column_of_the_mehnf(self):
+        # The termination argument of the partially unbounded route: the
+        # double-bounded MEHNF rows bound every column that occurs in them.
+        rng = random.Random(20240311)
+        for k in range(30):
+            sys = corpus.partially_unbounded_instance(rng, mixed=k % 3 == 0)
+            cls = classify(sys)
+            assert cls.verdict is Verdict.PARTIALLY_UNBOUNDED
+            sp = split(sys, cls)
+            h, _, perm = batch_mehnf(sp.bounded.matrix, sys.n1)
+            box = propagate_bounds(h, [sp.lower[i] for i in perm],
+                                   [sp.bounded.bounds[i] for i in perm])
+            for j in range(h.n):
+                if any(row[j] for row in h.rows):
+                    assert j in box.lower and j in box.upper
+                    assert box.lower[j] <= box.upper[j]
 
 
 class TestUnitCubeTest:
@@ -118,12 +138,6 @@ class TestBranchAndBound:
         good = branch_and_bound(sys, extra=VarBounds(lower={0: Fraction(0)}))
         assert isinstance(good, Sat)
         assert 0 <= good.model.values[0] <= 10
-
-    def test_branch_rules_agree(self):
-        sys = mk_system([[2, 3], [-2, -3], [1, -1]], [11, -11, 0], "zz")
-        a = branch_and_bound(sys, options=SolveOptions(branch_rule="most-fractional"))
-        b = branch_and_bound(sys, options=SolveOptions(branch_rule="first-fractional"))
-        assert type(a) is type(b)
 
 
 class TestCheckRefutation:
@@ -223,6 +237,12 @@ class TestSolve:
         res = solve(mk_system([[1, 1]], [0], "zz"))
         assert isinstance(res, Sat)
         assert res.stats.classification == "absolutely-unbounded"
+
+    @pytest.mark.parametrize("limit", ["branch_limit", "depth_limit", "time_budget"])
+    def test_nan_limit_rejected(self, limit):
+        # A NaN deadline never expires: time.monotonic() > nan is False.
+        with pytest.raises(ValueError):
+            SolveOptions(**{limit: math.nan})
 
     def test_band_without_transforms_budgets(self):
         res = solve(band("zz"), SolveOptions(transforms_enabled=False, branch_limit=1000))

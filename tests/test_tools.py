@@ -184,3 +184,11 @@ def test_cli_rejects_negative_timeout(tmp_path):
     f = tmp_path / "in.smt2"
     f.write_text("(declare-fun x () Int)(assert (<= x 1))")
     assert main(["solve", "--timeout", "-1", str(f)]) == 3
+
+
+def test_cli_rejects_nan_timeout(tmp_path, monkeypatch):
+    f = tmp_path / "in.smt2"
+    f.write_text("(declare-fun x () Int)(assert (<= x 1))")
+    assert main(["solve", "--timeout", "nan", str(f)]) == 3
+    monkeypatch.setenv("MEH_SOLVE_TIMEOUT", "nan")
+    assert main(["solve", str(f)]) == 3
