@@ -33,7 +33,7 @@ from .model import (
     check_model,
     normalize,
 )
-from .mehnf import MehState, batch_mehnf
+from .mehnf import batch_mehnf
 from .simplex import Optimal, OptOutcome, SimplexInstance, UnboundedDirection, check_feasible, optimize
 from .smtlib import ParseError, UnsupportedConstructError, emit, parse, parse_file
 from .solver import (

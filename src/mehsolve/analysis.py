@@ -71,7 +71,9 @@ def _direction_bounded_in_cone(cone: ConstraintSystem, h: Sequence[Fraction]) ->
         res = optimize(cone, h, sense)
         if isinstance(res, UnboundedDirection):
             return False
-        assert isinstance(res, Optimal) and res.value == 0
+        if not (isinstance(res, Optimal) and res.value == 0):
+            raise AssertionError(
+                "recession cone probe is neither unbounded nor zero; simplex bug")
     return True
 
 

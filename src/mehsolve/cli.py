@@ -18,7 +18,15 @@ from .bench import bench_directory, format_report
 from .generators import GenParams, gen_flip, gen_random_unbounded, gen_slack
 from .linalg import format_matrix
 from .mehnf import batch_mehnf
-from .model import FarkasCertificate, Sat, Unsat, format_certificate, format_model
+from .model import (
+    FarkasCertificate,
+    Sat,
+    TriviallyUnsat,
+    Unsat,
+    format_certificate,
+    format_model,
+    normalize,
+)
 from .smtlib import ParseError, emit, parse_file
 from .solver import RefutationLeaf, SolveOptions, solve
 
@@ -36,12 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_timeout() -> float:
     raw = os.environ.get("MEH_SOLVE_TIMEOUT")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return 60.0
+    if not raw:
+        return 60.0
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"MEH_SOLVE_TIMEOUT={raw!r} is not a number") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,14 +164,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    system = parse_file(args.file)
+    system = normalize(parse_file(args.file))
+    if isinstance(system, TriviallyUnsat):
+        print("infeasible")
+        return 0
     try:
         cls = classify(system)
     except InfeasibleSystemError:
         print("infeasible")
         return 0
     print(cls.verdict.value)
-    print("bounded-rows:", " ".join(str(i) for i in sorted(cls.bounded_rows)))
+    print("bounded-rows:", " ".join(
+        str(system.row_tags[i].origin) for i in sorted(cls.bounded_rows)))
     print("bounded-vars:",
           " ".join(system.variables[j].name for j in sorted(cls.bounded_vars)))
     return 0

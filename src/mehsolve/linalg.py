@@ -18,7 +18,9 @@ transformation pipeline, plus:
 * ``column_reduce`` (invertible rational column reduction, a loop over
   ``reduce_rat``) and ``hermite_normal_form`` (unimodular integer column
   reduction, a loop over the Euclidean step, also valid for rational input
-  matrices); ``mehnf`` uses the same steps for the incremental normal form,
+  matrices); ``mehnf.batch_mehnf`` builds the mixed normal form from these
+  two, and the Euclidean step treats every column of its matrix as
+  integer,
 * exact inversion, rank and determinant.
 
 Column indices in the public pivot helpers are 1-based to match the usual
@@ -59,9 +61,9 @@ def frac(value) -> Fraction:
 class Matrix:
     """Dense matrix of Fractions with value semantics.
 
-    Mutating operations (column swaps, scalings, additions, row insertion
-    and removal) are provided for the normal-form algorithms; everything
-    else treats matrices as immutable values.
+    Mutating column operations (swaps, scalings, additions) are provided
+    for the normal-form algorithms; everything else treats matrices as
+    immutable values.
     """
 
     __slots__ = ("m", "n", "rows")
@@ -93,21 +95,11 @@ class Matrix:
         mat.m, mat.n = self.m, self.n
         return mat
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.rows[i][j]
-
-    def row(self, i: int) -> list[Fraction]:
-        return self.rows[i][:]
-
     def col(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.rows]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -163,22 +155,6 @@ class Matrix:
         for row in self.rows:
             if row[j]:
                 row[j] = -row[j]
-
-    # -- row structure ------------------------------------------------
-
-    def insert_row(self, pos: int, row: Sequence) -> None:
-        row = [frac(x) for x in row]
-        if len(row) != self.n and self.m:
-            raise ValueError("row length mismatch")
-        self.rows.insert(pos, row)
-        self.m += 1
-        if self.n == 0:
-            self.n = len(row)
-
-    def remove_row(self, pos: int) -> list[Fraction]:
-        row = self.rows.pop(pos)
-        self.m -= 1
-        return row
 
     # -- derived quantities --------------------------------------------
 
@@ -375,32 +351,32 @@ def reduce_rat(h: Matrix, v: Matrix, p_row: int, p_col: int, j: int) -> None:
             v.col_addmul(k, p_col, f)
 
 
-def abstract_to_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int):
+def abstract_to_int(h: Matrix, v: Matrix, p_row: int, p_col: int):
     """Sign-normalize columns right of the pivot and scale to integers.
 
     Negates every column i >= p_col whose entry in the pivot row is
     negative (in both h and v), computes the lcm c of the denominators of
-    the pivot row's integer-block entries, and returns (c, s) where s maps
-    column index to the positive integer image entry * c.
+    the pivot row's entries, and returns (c, s) where s maps column index
+    to the positive integer image entry * c.
     """
     row = h.rows[p_row]
     for j in range(p_col, h.n):
         if row[j] < 0:
             h.col_negate(j)
             v.col_negate(j)
-    c = math.lcm(*(row[j].denominator for j in range(n1, h.n))) if h.n > n1 else 1
+    c = math.lcm(*(x.denominator for x in row))
     s = {j: int(row[j] * c) for j in range(p_col, h.n) if row[j] > 0}
     return c, s
 
 
-def reduce_left_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int) -> None:
+def reduce_left_int(h: Matrix, v: Matrix, p_row: int, p_col: int) -> None:
     """Euclidean column reduction of the pivot row right of p_col.
 
     Runs gcd elimination over the scaled entries until a single non-zero
     entry remains, then swaps that gcd column into position p_col.  Only
     columns >= p_col are touched.
     """
-    _, s = abstract_to_int(h, v, p_row, p_col, n1)
+    _, s = abstract_to_int(h, v, p_row, p_col)
     if not s:
         raise GapPreconditionError("no non-zero entries right of the pivot position")
     while len(s) > 1:
@@ -421,20 +397,20 @@ def reduce_left_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int) -> No
     v.col_swap(p_col, gcd_col)
 
 
-def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int, n1: int) -> None:
-    """Reduce the pivot row's earlier integer entries into [0, pivot).
+def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int) -> None:
+    """Reduce the pivot row's entries left of the pivot into [0, pivot).
 
     Subtracts floor(entry / pivot) times the pivot column from each
-    integer column left of it, working on the lcm-scaled integer images
-    of the pivot row's integer-block entries.
+    column left of it, working on the lcm-scaled integer images of the
+    pivot row's entries.
     """
     row = h.rows[p_row]
     pivot = row[p_col]
     if pivot <= 0:
         raise GapPreconditionError("pivot must be positive before right reduction")
-    c = math.lcm(*(row[j].denominator for j in range(n1, h.n)))
+    c = math.lcm(*(x.denominator for x in row))
     spp = pivot * c
-    for j in range(n1, p_col):
+    for j in range(p_col):
         q = (row[j] * c) // spp
         if q:
             h.col_addmul(j, p_col, Fraction(-q))
@@ -485,8 +461,8 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
             break
         if not any(h.rows[i][c:]):
             continue
-        reduce_left_int(h, u, i, c, 0)
-        reduce_right_int(h, u, i, c, 0)
+        reduce_left_int(h, u, i, c)
+        reduce_right_int(h, u, i, c)
         c += 1
     return h, u
 

@@ -108,9 +108,6 @@ class ConstraintSystem:
     def integer_columns(self) -> range:
         return range(self.n1, self.n)
 
-    def row(self, i: int) -> list[Fraction]:
-        return self.matrix.row(i)
-
     def subset(self, rows: Sequence[int]) -> "ConstraintSystem":
         """System restricted to the given rows; tags keep the origin index."""
         return ConstraintSystem(
@@ -137,26 +134,17 @@ class Model:
 class FarkasCertificate:
     """Non-negative multipliers combining rows into a constant contradiction.
 
-    ``y[k]`` multiplies the row ``row_map[k]`` of the system the certificate
-    refers to; by default positions map to rows one to one.
+    ``y[k]`` multiplies row ``k`` of the system the certificate refers to.
     """
 
     y: list[Fraction]
-    row_map: Optional[list[int]] = None
 
     def multiplier_vector(self, m: int) -> list[Fraction]:
-        """Expand into a dense length-m vector over the target system."""
-        if self.row_map is None:
-            if len(self.y) != m:
-                raise DimensionMismatchError(
-                    f"certificate has {len(self.y)} multipliers for {m} rows")
-            return list(self.y)
-        out = [Fraction(0)] * m
-        for mult, idx in zip(self.y, self.row_map):
-            if not 0 <= idx < m:
-                raise DimensionMismatchError(f"certificate row index {idx} out of range")
-            out[idx] += mult
-        return out
+        """The multipliers as a fresh list, checked against m rows."""
+        if len(self.y) != m:
+            raise DimensionMismatchError(
+                f"certificate has {len(self.y)} multipliers for {m} rows")
+        return list(self.y)
 
 
 @dataclass

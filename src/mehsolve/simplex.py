@@ -154,10 +154,6 @@ class SimplexInstance:
         else:
             self._lo[var] = old
 
-    @property
-    def depth(self) -> int:
-        return len(self._trail)
-
     # -- internals -------------------------------------------------------
 
     def _set_bound(self, var, side, value, src):

@@ -4,7 +4,8 @@ Supported surface: ``set-logic`` QF_LIA / QF_LRA / QF_LIRA, 0-ary
 ``declare-fun`` / ``declare-const`` with Int or Real sorts, and ``assert``
 of linear atoms (``<=``, ``>=``, ``=``, chainable, possibly under a
 top-level ``and``).  Terms are sums, differences, rational-constant
-multiples and divisions of variables.  Equalities expand into two opposed
+multiples and divisions of variables; constants are SMT-LIB numerals and
+decimals (``3``, ``2.5``).  Equalities expand into two opposed
 inequalities.  Strict comparisons are accepted only over all-integer
 atoms, where scaling to integer coefficients makes a one-unit tightening
 exact; strict atoms over rational variables are rejected as unsupported.
@@ -16,6 +17,7 @@ input was written, and tags every row with its source line.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -123,11 +125,12 @@ class _LinTerm:
         return _LinTerm({k: f * v for k, v in self.coeffs.items()}, f * self.const)
 
 
+_NUMERAL = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
 def _numeral(text: str) -> Optional[Fraction]:
-    try:
-        return Fraction(text)
-    except ValueError:
-        return None
+    """An SMT-LIB numeral or decimal; any other token is not a constant."""
+    return Fraction(text) if _NUMERAL.fullmatch(text) else None
 
 
 class _Parser:
@@ -267,6 +270,8 @@ class _Parser:
                 out = out + t
             return out
         if head == "-":
+            if not args:
+                raise ParseError("- takes at least one argument", line, col)
             if len(args) == 1:
                 return -args[0]
             out = args[0]
@@ -323,7 +328,10 @@ def parse(text: str) -> ConstraintSystem:
     """Parse an SMT-LIB subset problem into a constraint system."""
     parser = _Parser()
     for node in _read_sexprs(_tokenize(text)):
-        parser.feed(node)
+        try:
+            parser.feed(node)
+        except RecursionError:
+            raise ParseError("expression nested too deeply", *_pos(node)) from None
     return parser.system()
 
 

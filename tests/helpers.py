@@ -95,3 +95,9 @@ def systems(draw, max_m=5, max_n=4):
     bounds = draw(st.lists(small_ints, min_size=m, max_size=m))
     kinds = "q" * n1 + "z" * (n - n1)
     return mk_system(rows, bounds, kinds)
+
+
+def nested_sum(depth: int) -> str:
+    """SMT-LIB text asserting ``(+ (+ ... x)) <= 0``, depth levels deep."""
+    return ("(declare-fun x () Int)(assert (<= " + "(+ " * depth + "x"
+            + ")" * depth + " 0))")

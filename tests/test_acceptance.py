@@ -14,7 +14,7 @@ from mehsolve.analysis import Verdict, classify, split
 from mehsolve.bruteforce import brute_force_solve
 from mehsolve.generators import gen_slack
 from mehsolve.linalg import Matrix, is_mctm, is_mehnf
-from mehsolve.mehnf import MehState, batch_mehnf, rpiv
+from mehsolve.mehnf import batch_mehnf, rpiv
 from mehsolve.model import (
     Budget,
     ConstraintSystem,
@@ -167,43 +167,6 @@ def test_criterion_05_mehnf_structure():
                 and h == dp * v.matrix):
             failures += 1
     _report(5, failures == 0, f"200 random matrices, {failures} structure failures")
-
-
-def test_criterion_06_incremental_agreement():
-    rng = random.Random(20240206)
-    failures = 0
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        n1 = rng.randint(0, n)
-        n2 = n - n1
-        state = MehState(n1, n2, validate=True)  # invariants assert per step
-        stack: list[tuple[list[int], int]] = []
-        for _ in range(rng.randint(1, 10)):
-            if stack and rng.random() < 0.3:
-                state.backtrack()
-                stack.pop()
-            else:
-                row = [rng.randint(-5, 5) for _ in range(n)]
-                b = rng.randint(-6, 6)
-                state.extend(row, b)
-                stack.append((row, b))
-        if not stack:
-            continue
-        kinds = [VarKind.RATIONAL] * n1 + [VarKind.INTEGER] * n2
-        variables = [VarInfo(f"y{j}", k) for j, k in enumerate(kinds)]
-        inc_sys = ConstraintSystem(state.h.copy(), list(state.u), variables)
-
-        d = Matrix([[Fraction(c) for c in row] for row, _ in stack])
-        hb, vb, perm = batch_mehnf(d, n1)
-        batch_sys = ConstraintSystem(
-            hb, [Fraction(stack[i][1]) for i in perm], variables)
-
-        inc_res = checked_solve(inc_sys)
-        batch_res = checked_solve(batch_sys)
-        if isinstance(inc_res, Budget) or type(inc_res) is not type(batch_res):
-            failures += 1
-    _report(6, failures == 0,
-            f"100 interleaved extend/backtrack sequences, {failures} disagreements")
 
 
 def test_criterion_07_reduction_equisatisfiability():

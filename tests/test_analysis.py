@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mehsolve.analysis as analysis
 from mehsolve.analysis import (
     Classification,
     InfeasibleSystemError,
@@ -12,7 +13,7 @@ from mehsolve.analysis import (
     is_direction_bounded,
     split,
 )
-from mehsolve.simplex import Feasible, check_feasible
+from mehsolve.simplex import Feasible, Infeasible, Optimal, check_feasible
 
 from helpers import mk_system, systems
 
@@ -49,6 +50,16 @@ class TestIsDirectionBounded:
         sys = mk_system([[1], [-1]], [0, -1], "q")
         with pytest.raises(InfeasibleSystemError):
             is_direction_bounded(sys, [1])
+
+    @pytest.mark.parametrize("probe", [
+        Infeasible(None),
+        Optimal(Fraction(1), [Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]),
+    ])
+    def test_unexpected_probe_result_raises(self, monkeypatch, probe):
+        # An explicit raise, not an assert: under python -O the check stays.
+        monkeypatch.setattr(analysis, "optimize", lambda *args: probe)
+        with pytest.raises(AssertionError, match="simplex bug"):
+            is_direction_bounded(band_system(), [3, -3])
 
 
 class TestClassify:

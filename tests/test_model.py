@@ -115,11 +115,6 @@ class TestCheckCertificate:
         cert = FarkasCertificate([Fraction(v) for v in y])
         assert not check_certificate(sys, cert)
 
-    def test_row_map_expansion(self):
-        sys = mk_system([[1], [-1]], [0, -1], "q")
-        cert = FarkasCertificate([Fraction(1), Fraction(1)], row_map=[1, 0])
-        assert check_certificate(sys, cert)
-
 
 def transformed(sys, tm):
     """The system (A V) y <= b over fresh variables of the same types."""

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mehsolve.model import VarKind
+from mehsolve.model import ConstraintSystem, VarKind
 from mehsolve.smtlib import ParseError, UnsupportedConstructError, emit, parse
 
-from helpers import systems
+from helpers import nested_sum, systems
 
 BAND_TEXT = """
 (set-logic QF_LIA)
@@ -109,6 +110,55 @@ class TestParse:
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse("(assert (<= x 1)")
+
+    @pytest.mark.parametrize("token", ["1e999999", "1_000", "+5", "-3", "1/2", "1/0"])
+    def test_only_smtlib_numerals_are_constants(self, token):
+        with pytest.raises(ParseError, match="undeclared variable"):
+            parse(f"(declare-fun x () Int)(assert (<= x {token}))")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(nested_sum(5000))
+
+
+PREAMBLE = "(set-logic QF_LIRA)(declare-fun x () Int)(declare-const r Real)"
+CONSTANTS = ["x", "r", "z", "0", "3", "2.5", "1e999999", "1_000", "+5", "-3",
+             "1/2", "1/0"]
+KEYWORDS = ["assert", "and", "<=", ">=", "=", "<", ">", "+", "-", "*", "/",
+            "true", "let", "declare-fun", "declare-const", "Int", "Real",
+            "set-logic", "QF_LIA", "check-sat", "()", "(", ")", ";"]
+
+
+def _sexprs(atoms, heads=None):
+    def node(inner):
+        args = st.lists(inner, max_size=4)
+        if heads is not None:
+            args = st.tuples(st.sampled_from(heads), args).map(lambda t: [t[0], *t[1]])
+        return args.map(lambda xs: "(" + " ".join(xs) + ")")
+    return st.recursive(st.sampled_from(atoms), node, max_leaves=20)
+
+
+# Free-form s-expressions, plus assertions over well-formed operator heads
+# so that most generated text reaches the term and atom parsers.
+commands = st.one_of(
+    _sexprs(CONSTANTS + KEYWORDS),
+    _sexprs(CONSTANTS, ["<=", ">=", "=", "<", ">", "and", "+", "-", "*", "/"])
+    .map(lambda t: f"(assert {t})"),
+)
+
+
+@given(st.booleans(), st.lists(commands, max_size=4))
+@example(True, ["(assert (<= x 1e999999))"])
+@example(False, [nested_sum(5000)])
+@example(True, ["(assert (<= (-) x))"])
+@settings(max_examples=300, deadline=None)
+def test_fuzz_parse_yields_system_or_parse_error(preamble, body):
+    text = (PREAMBLE if preamble else "") + "\n".join(body)
+    try:
+        result = parse(text)
+    except ParseError:
+        return
+    assert isinstance(result, ConstraintSystem)
 
 
 class TestEmit:

@@ -12,7 +12,7 @@ from mehsolve.model import Sat, check_model
 from mehsolve.smtlib import emit, parse
 from mehsolve.solver import SolveOptions, VarBounds, solve
 
-from helpers import mk_system
+from helpers import mk_system, nested_sum
 
 BAND = "(set-logic QF_LIA)(declare-fun x () Int)(declare-fun y () Int)" \
        "(assert (<= 1 (- (* 3 x) (* 3 y))))(assert (<= (- (* 3 x) (* 3 y)) 2))" \
@@ -132,6 +132,26 @@ class TestCli:
         assert out.splitlines()[0] == "partially-unbounded"
         assert "bounded-rows: 0 1" in out
 
+    def test_classify_drops_constant_rows(self, tmp_path, capsys):
+        f = tmp_path / "const.smt2"
+        f.write_text(BAND.replace("(assert", "(assert (<= 0 (- x x)))(assert", 1))
+        assert main(["classify", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "partially-unbounded"
+        assert "bounded-rows: 1 2" in out
+
+    def test_classify_trivially_infeasible(self, tmp_path, capsys):
+        f = tmp_path / "const.smt2"
+        f.write_text("(declare-fun x () Int)(assert (<= 1 (- x x)))")
+        assert main(["classify", str(f)]) == 0
+        assert capsys.readouterr().out == "infeasible\n"
+
+    def test_deep_nesting_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "deep.smt2"
+        f.write_text(nested_sum(5000))
+        assert main(["solve", str(f)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_transform_prints_matrices(self, tmp_path, capsys):
         f = tmp_path / "band.smt2"
         f.write_text(BAND)
@@ -192,3 +212,11 @@ def test_cli_rejects_nan_timeout(tmp_path, monkeypatch):
     assert main(["solve", "--timeout", "nan", str(f)]) == 3
     monkeypatch.setenv("MEH_SOLVE_TIMEOUT", "nan")
     assert main(["solve", str(f)]) == 3
+
+
+def test_cli_rejects_unparsable_timeout_env(tmp_path, monkeypatch):
+    f = tmp_path / "in.smt2"
+    f.write_text("(declare-fun x () Int)(assert (<= x 1))")
+    monkeypatch.setenv("MEH_SOLVE_TIMEOUT", "abc")
+    assert main(["solve", str(f)]) == 3
+    assert main(["bench", str(tmp_path)]) == 3
