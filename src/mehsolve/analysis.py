@@ -61,9 +61,7 @@ class SplitSystem:
 
 
 def _recession_cone(sys: ConstraintSystem) -> ConstraintSystem:
-    return ConstraintSystem(
-        sys.matrix, [Fraction(0)] * sys.m, sys.variables, sys.user_perm, sys.row_tags
-    )
+    return ConstraintSystem(sys.matrix, [Fraction(0)] * sys.m, sys.variables, sys.user_perm)
 
 
 def _direction_bounded_in_cone(cone: ConstraintSystem, h: Sequence[Fraction]) -> bool:

@@ -164,10 +164,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    system = normalize(parse_file(args.file))
-    if isinstance(system, TriviallyUnsat):
+    norm = normalize(parse_file(args.file))
+    if isinstance(norm, TriviallyUnsat):
         print("infeasible")
         return 0
+    system, kept = norm
     try:
         cls = classify(system)
     except InfeasibleSystemError:
@@ -175,7 +176,7 @@ def _cmd_classify(args) -> int:
         return 0
     print(cls.verdict.value)
     print("bounded-rows:", " ".join(
-        str(system.row_tags[i].origin) for i in sorted(cls.bounded_rows)))
+        str(kept[i]) for i in sorted(cls.bounded_rows)))
     print("bounded-vars:",
           " ".join(system.variables[j].name for j in sorted(cls.bounded_vars)))
     return 0

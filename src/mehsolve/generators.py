@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix
-from .model import ConstraintSystem, Model, RowTag, Sat, VarInfo, VarKind, check_model
+from .model import ConstraintSystem, Model, Sat, VarInfo, VarKind, check_model
 from .solver import SolveOptions, solve
-from .analysis import Verdict, classify
+from .analysis import Verdict
 
 _ZERO = Fraction(0)
 
@@ -61,21 +61,18 @@ def gen_slack(sys: ConstraintSystem) -> ConstraintSystem:
     n2 = 2 * sys.n
     rows = []
     bounds = []
-    tags = []
     for i in range(sys.m):
         row = []
         for c in sys.matrix.rows[i]:
             row.extend((c, -c))
         rows.append(row)
         bounds.append(sys.bounds[i])
-        tags.append(RowTag(origin=i, eq_group=sys.row_tags[i].eq_group, source="slacked"))
     for j in range(n2):
         row = [_ZERO] * n2
         row[j] = Fraction(-1)
         rows.append(row)
         bounds.append(_ZERO)
-        tags.append(RowTag(source="slack-nonneg"))
-    return ConstraintSystem(Matrix(rows), bounds, variables, None, tags)
+    return ConstraintSystem(Matrix(rows), bounds, variables)
 
 
 def slack_model(sys: ConstraintSystem, model: Model) -> Model:
@@ -109,8 +106,7 @@ def gen_flip(sys: ConstraintSystem, p: Fraction, seed: int) -> ConstraintSystem:
     rows = [[row[j] for j in order] for row in sys.matrix.rows]
     user_perm = [pos[sys.user_perm[k]] for k in range(sys.n)]
     matrix = Matrix(rows) if rows else Matrix.zeros(0, sys.n)
-    return ConstraintSystem(matrix, list(sys.bounds), variables, user_perm,
-                            list(sys.row_tags))
+    return ConstraintSystem(matrix, list(sys.bounds), variables, user_perm)
 
 
 def gen_random_unbounded(params: GenParams) -> ConstraintSystem:
@@ -127,11 +123,9 @@ def gen_random_unbounded(params: GenParams) -> ConstraintSystem:
         sys = _random_candidate(rng, params)
         if sys is None:
             continue
-        cls = classify(sys)
-        if cls.verdict is not Verdict.PARTIALLY_UNBOUNDED:
-            continue
         res = solve(sys, SolveOptions(time_budget=30.0))
-        if isinstance(res, Sat):
+        if (isinstance(res, Sat)
+                and res.stats.classification == Verdict.PARTIALLY_UNBOUNDED.value):
             return sys
     raise GenerationError("exhausted 100 attempts without a verified instance")
 

@@ -30,28 +30,15 @@ class VarInfo:
     kind: VarKind
 
 
-@dataclass(frozen=True)
-class RowTag:
-    """Provenance of a row: where it came from and how it relates to input.
-
-    ``origin`` is the row's index in the system it was derived from (kept
-    through normalization so certificates can be mapped back).  ``eq_group``
-    pairs the two rows produced by expanding an equality.  ``source`` is a
-    human-readable label such as a source line.
-    """
-
-    origin: Optional[int] = None
-    eq_group: Optional[int] = None
-    source: str = ""
-
-
 class ConstraintSystem:
     """A conjunction of non-strict inequalities A x <= b over typed variables.
 
     Variables are kept in internal column order: all rational variables
     first, integer variables after them.  ``user_perm[k]`` is the internal
     column of the k-th variable in user declaration order, so output can be
-    presented the way the input was written.
+    presented the way the input was written.  A system carries no row
+    provenance: code that derives one system from another keeps the row
+    indices it needs to map results back (see ``normalize`` and ``split``).
     """
 
     def __init__(
@@ -60,7 +47,6 @@ class ConstraintSystem:
         bounds: Sequence,
         variables: Sequence[VarInfo],
         user_perm: Optional[Sequence[int]] = None,
-        row_tags: Optional[Sequence[RowTag]] = None,
     ) -> None:
         self.matrix = matrix
         self.bounds = [frac(b) for b in bounds]
@@ -81,13 +67,6 @@ class ConstraintSystem:
         self.user_perm = tuple(user_perm) if user_perm is not None else tuple(range(matrix.n))
         if sorted(self.user_perm) != list(range(matrix.n)):
             raise ValueError("user_perm must be a permutation of the columns")
-        self.row_tags = (
-            list(row_tags)
-            if row_tags is not None
-            else [RowTag(origin=i) for i in range(matrix.m)]
-        )
-        if len(self.row_tags) != matrix.m:
-            raise DimensionMismatchError("row tag count does not match row count")
 
     @property
     def m(self) -> int:
@@ -109,14 +88,12 @@ class ConstraintSystem:
         return range(self.n1, self.n)
 
     def subset(self, rows: Sequence[int]) -> "ConstraintSystem":
-        """System restricted to the given rows; tags keep the origin index."""
+        """System of the given rows, in the given order, over the same variables."""
         return ConstraintSystem(
             Matrix([self.matrix.rows[i] for i in rows]) if rows else Matrix.zeros(0, self.n),
             [self.bounds[i] for i in rows],
             self.variables,
             self.user_perm,
-            [RowTag(origin=i, eq_group=self.row_tags[i].eq_group,
-                    source=self.row_tags[i].source) for i in rows],
         )
 
     def __repr__(self) -> str:
@@ -185,12 +162,14 @@ class TriviallyUnsat:
     certificate: FarkasCertificate
 
 
-def normalize(sys: ConstraintSystem) -> ConstraintSystem | TriviallyUnsat:
+def normalize(sys: ConstraintSystem) -> tuple[ConstraintSystem, list[int]] | TriviallyUnsat:
     """Drop constant rows, detecting trivially unsatisfiable ones.
 
     A row 0 <= b_i with b_i >= 0 is a tautology and is removed.  A row
     0 <= b_i with b_i < 0 yields TriviallyUnsat with the unit certificate
-    on that row.  Kept rows remember their original index in their tag.
+    on that row.  Otherwise returns ``(system, kept)``, where ``kept[i]``
+    is the index in sys of the system's row i; when no row is dropped the
+    system is sys itself.
     """
     keep = []
     for i in range(sys.m):
@@ -201,8 +180,8 @@ def normalize(sys: ConstraintSystem) -> ConstraintSystem | TriviallyUnsat:
             y[i] = Fraction(1)
             return TriviallyUnsat(FarkasCertificate(y))
     if len(keep) == sys.m:
-        return sys
-    return sys.subset(keep)
+        return sys, keep
+    return sys.subset(keep), keep
 
 
 def check_model(sys: ConstraintSystem, model: Model) -> bool:

@@ -11,7 +11,8 @@ atoms, where scaling to integer coefficients makes a one-unit tightening
 exact; strict atoms over rational variables are rejected as unsupported.
 
 The parser records declaration order so models are printed the way the
-input was written, and tags every row with its source line.
+input was written.  Rows appear in the order of the atoms they come from,
+so row indices in certificates refer to the input in reading order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .linalg import Matrix
-from .model import ConstraintSystem, RowTag, VarInfo, VarKind
+from .model import ConstraintSystem, VarInfo, VarKind
 
 LOGICS = ("QF_LIA", "QF_LRA", "QF_LIRA")
 
@@ -138,8 +139,7 @@ class _Parser:
         self.logic: Optional[str] = None
         self.decls: dict[str, VarKind] = {}
         self.order: list[str] = []
-        self.rows: list[tuple[dict[str, Fraction], Fraction, RowTag]] = []
-        self.eq_groups = 0
+        self.rows: list[tuple[dict[str, Fraction], Fraction]] = []
 
     # -- commands -------------------------------------------------------
 
@@ -213,21 +213,16 @@ class _Parser:
     def _atom(self, rel: str, a: _LinTerm, b: _LinTerm, line: int) -> None:
         diff = a - b  # rel 0
         coeffs, const = diff.coeffs, -diff.const
-        tag = RowTag(origin=len(self.rows), source=f"line {line}")
         if rel == "<=":
-            self._add_row(coeffs, const, tag)
+            self._add_row(coeffs, const)
         elif rel == ">=":
-            self._add_row(_negate(coeffs), -const, tag)
+            self._add_row(_negate(coeffs), -const)
         elif rel == "=":
-            group = self.eq_groups
-            self.eq_groups += 1
-            self._add_row(coeffs, const, RowTag(len(self.rows), group, f"line {line}"))
-            self._add_row(_negate(coeffs), -const,
-                          RowTag(len(self.rows), group, f"line {line}"))
+            self._add_row(coeffs, const)
+            self._add_row(_negate(coeffs), -const)
         else:
             sense = 1 if rel == "<" else -1
-            scaled, bound = self._tighten(coeffs, const, sense, line)
-            self._add_row(scaled, bound, tag)
+            self._add_row(*self._tighten(coeffs, const, sense, line))
 
     def _tighten(self, coeffs, const, sense, line):
         """Rewrite a strict atom over integers into a non-strict one."""
@@ -243,11 +238,11 @@ class _Parser:
         bound = Fraction(math.ceil(const * scale) - 1)
         return scaled, bound
 
-    def _add_row(self, coeffs, const, tag) -> None:
+    def _add_row(self, coeffs, const) -> None:
         for name in coeffs:
             if name not in self.decls:
                 raise ParseError(f"undeclared variable {name}")
-        self.rows.append((coeffs, Fraction(const), tag))
+        self.rows.append((coeffs, Fraction(const)))
 
     # -- terms ---------------------------------------------------------------
 
@@ -308,16 +303,14 @@ class _Parser:
         user_perm = [col_of[n] for n in self.order]
         rows = []
         bounds = []
-        tags = []
-        for coeffs, const, tag in self.rows:
+        for coeffs, const in self.rows:
             row = [Fraction(0)] * len(internal)
             for name, c in coeffs.items():
                 row[col_of[name]] = c
             rows.append(row)
             bounds.append(const)
-            tags.append(tag)
         matrix = Matrix(rows) if rows else Matrix.zeros(0, len(internal))
-        return ConstraintSystem(matrix, bounds, variables, user_perm, tags)
+        return ConstraintSystem(matrix, bounds, variables, user_perm)
 
 
 def _negate(coeffs):

@@ -1,11 +1,11 @@
 """Branch-and-bound pipeline over the boundedness-driven transformations.
 
-``solve`` normalizes, checks rational feasibility, classifies, and then
-dispatches: bounded systems go straight to branch-and-bound, absolutely
-unbounded systems to the unit cube test, and partially unbounded systems
-through the split / Mixed-Echelon-Hermite route, whose results are mapped
-back to the original system (``mixed_extension`` for models,
-``convert_certificate`` for refutations).
+``solve`` normalizes, classifies (which first checks rational
+feasibility), and then dispatches: bounded systems go straight to
+branch-and-bound, absolutely unbounded systems to the unit cube test, and
+partially unbounded systems through the split / Mixed-Echelon-Hermite
+route, whose results are mapped back to the original system
+(``mixed_extension`` for models, ``convert_certificate`` for refutations).
 
 Unsatisfiability of a mixed system that is rationally feasible cannot be
 witnessed by a single Farkas certificate; branch-and-bound therefore
@@ -14,7 +14,9 @@ leaves carry Farkas certificates over the system plus the cuts on the
 path.  ``check_refutation`` verifies such trees independently.  Every Sat
 result is re-checked with ``check_model`` and every Unsat result with
 ``check_certificate``/``check_refutation`` against the original system
-before it is returned, in all build modes.
+before it is returned, in all build modes.  Certificates and refutations
+move from one system to another through ``_pull_back``, which needs only
+how each source row is combined from target rows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import SplitSystem, Verdict, classify, split
+from .analysis import InfeasibleSystemError, SplitSystem, Verdict, classify, split
 from .linalg import Matrix, TransformMatrix, is_lower_triangular_with_gaps, piv
 from .mehnf import batch_mehnf
 from .model import (
@@ -33,7 +35,6 @@ from .model import (
     ConstraintSystem,
     FarkasCertificate,
     Model,
-    RowTag,
     Sat,
     SolveResult,
     SolveStats,
@@ -280,41 +281,21 @@ def _pick_branch_var(sys: ConstraintSystem, beta) -> Optional[int]:
 
 def branch_and_bound(
     sys: ConstraintSystem,
-    extra: Optional[VarBounds] = None,
     options: Optional[SolveOptions] = None,
     stats: Optional[SolveStats] = None,
     deadline: Optional[float] = None,
 ) -> SolveResult:
     """Depth-first branch-and-bound over the rows of sys.
 
-    ``extra`` bounds are folded in as additional rows (they count as part
-    of the constraint set: models must satisfy them and certificates may
-    use them).  Returns Sat with a mixed model, Unsat with either a plain
-    Farkas certificate or a branch refutation over the extended system, or
-    Budget when a limit from ``options`` was hit.
+    Returns Sat with a mixed model, Unsat with a plain Farkas certificate
+    (when the root LP is already infeasible) or a branch refutation over
+    sys, or Budget when a limit from ``options`` was hit.  Terminates on
+    every input only when sys is bounded; ``solve`` ensures that.
     """
     opts = options or SolveOptions()
     stats = stats if stats is not None else SolveStats()
     if deadline is None:
         deadline = time.monotonic() + opts.time_budget
-    if extra is not None:
-        rows = [list(r) for r in sys.matrix.rows]
-        bounds = list(sys.bounds)
-        tags = list(sys.row_tags)
-        for j in sorted(extra.upper):
-            row = [_ZERO] * sys.n
-            row[j] = _ONE
-            rows.append(row)
-            bounds.append(extra.upper[j])
-            tags.append(RowTag(source="extra-bound"))
-        for j in sorted(extra.lower):
-            row = [_ZERO] * sys.n
-            row[j] = -_ONE
-            rows.append(row)
-            bounds.append(-extra.lower[j])
-            tags.append(RowTag(source="extra-bound"))
-        sys = ConstraintSystem(Matrix(rows), bounds, sys.variables, sys.user_perm, tags)
-
     inst = instance_for(sys)
     work = [("explore", None)]
     results: list = []
@@ -387,15 +368,9 @@ def branch_and_bound(
     stats.lp_pivots += inst.pivots
     assert len(results) == 1, "branch tree bookkeeping failed"
     refutation = results[0]
-    if isinstance(refutation, RefutationLeaf) and not refutation.cut_mults:
-        cert = FarkasCertificate(
-            [refutation.row_mults.get(i, _ZERO) for i in range(sys.m)])
-        if not check_certificate(sys, cert):
-            raise InternalSoundnessError("root certificate failed verification")
-        return Unsat(cert, stats)
-    if not check_refutation(sys, refutation):
-        raise InternalSoundnessError("branch refutation failed verification")
-    return Unsat(refutation, stats)
+    if isinstance(refutation, RefutationLeaf):
+        refutation = _farkas(refutation, sys.m)
+    return Unsat(_verified(sys, refutation, "branch-and-bound"), stats)
 
 
 # -- unit cube test -----------------------------------------------------------
@@ -415,8 +390,7 @@ def unit_cube_test(sys: ConstraintSystem) -> Optional[Model]:
         slack = sum(
             (abs(sys.matrix.rows[i][j]) for j in sys.integer_columns()), _ZERO)
         widened_bounds.append(sys.bounds[i] - slack * _HALF)
-    widened = ConstraintSystem(
-        sys.matrix, widened_bounds, sys.variables, sys.user_perm, sys.row_tags)
+    widened = ConstraintSystem(sys.matrix, widened_bounds, sys.variables, sys.user_perm)
     res = check_feasible(widened)
     if isinstance(res, Infeasible):
         return None
@@ -484,6 +458,47 @@ def mixed_extension(
 # -- certificate conversion -----------------------------------------------------
 
 
+def _farkas(leaf: RefutationLeaf, m: int) -> FarkasCertificate:
+    """The Farkas certificate over m rows of a refutation that is one leaf."""
+    return FarkasCertificate([leaf.row_mults.get(i, _ZERO) for i in range(m)])
+
+
+def _verified(sys: ConstraintSystem, cert, what: str):
+    """cert, after checking it against sys; raises if the check fails."""
+    if isinstance(cert, FarkasCertificate):
+        ok, kind = check_certificate(sys, cert), "certificate"
+    else:
+        ok, kind = check_refutation(sys, cert), "refutation"
+    if not ok:
+        raise InternalSoundnessError(f"{what} {kind} failed verification")
+    return cert
+
+
+def _pull_back(cert, row_map: Sequence[dict[int, Fraction]], m: int,
+               cut_fn=lambda cut: cut):
+    """Map a certificate or refutation of a source system onto a target.
+
+    Row i of the source is implied by the sum of w times row k of the
+    target over ``row_map[i].items()``, with every w > 0, so a multiplier
+    on row i becomes multipliers on those target rows.  ``cut_fn``
+    rewrites each cut into the target's variables.  m is the target's row
+    count; a Farkas certificate comes back as one.
+    """
+    if isinstance(cert, FarkasCertificate):
+        cert = RefutationLeaf(dict(enumerate(cert.multiplier_vector(len(row_map)))), {})
+
+    def leaf_fn(leaf: RefutationLeaf) -> RefutationLeaf:
+        out: dict[int, Fraction] = {}
+        for i, mult in leaf.row_mults.items():
+            if mult:
+                for k, w in row_map[i].items():
+                    out[k] = out.get(k, _ZERO) + mult * w
+        return RefutationLeaf(out, dict(leaf.cut_mults))
+
+    mapped = _map_tree(cert, leaf_fn, cut_fn)
+    return _farkas(mapped, m) if isinstance(mapped, RefutationLeaf) else mapped
+
+
 def convert_certificate(
     sp: SplitSystem,
     row_perm: Sequence[int],
@@ -500,54 +515,19 @@ def convert_certificate(
     the inverse transformation.  The result is re-verified against the
     target system.
     """
-    m2 = sp.bounded.m
+    origin = sp.bounded_origin
+    upper = [{origin[i]: 1} for i in row_perm]
+    lower = [{origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w}
+             for i in row_perm]
     vinv = v.inverse()
-
-    def convert_row_mults(row_mults: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-
-        def add(orig: int, mult: Fraction):
-            if mult:
-                out[orig] = out.get(orig, _ZERO) + mult
-
-        for ti, mult in row_mults.items():
-            if not mult:
-                continue
-            if ti < m2:
-                add(sp.bounded_origin[row_perm[ti]], mult)
-            else:
-                bi = row_perm[ti - m2]
-                for k, w in enumerate(sp.lower_duals[bi]):
-                    if w:
-                        add(sp.bounded_origin[k], mult * w)
-        return out
 
     def convert_cut(cut: Cut) -> Cut:
         j = next(i for i, c in enumerate(cut.coeffs) if c)
         assert cut.coeffs[j] == 1 and sum(1 for c in cut.coeffs if c) == 1
         return Cut(tuple(vinv.matrix.rows[j]), cut.value)
 
-    def convert_leaf(leaf: RefutationLeaf) -> RefutationLeaf:
-        return RefutationLeaf(convert_row_mults(leaf.row_mults),
-                              dict(leaf.cut_mults))
-
-    if isinstance(certificate, FarkasCertificate):
-        mults = convert_row_mults(
-            {i: m for i, m in enumerate(certificate.multiplier_vector(2 * m2))})
-        out = FarkasCertificate([mults.get(i, _ZERO) for i in range(target.m)])
-        if not check_certificate(target, out):
-            raise InternalSoundnessError("converted certificate failed verification")
-        return out
-    converted = _map_tree(certificate, convert_leaf, convert_cut)
-    if isinstance(converted, RefutationLeaf):
-        out = FarkasCertificate(
-            [converted.row_mults.get(i, _ZERO) for i in range(target.m)])
-        if not check_certificate(target, out):
-            raise InternalSoundnessError("converted certificate failed verification")
-        return out
-    if not check_refutation(target, converted):
-        raise InternalSoundnessError("converted refutation failed verification")
-    return converted
+    converted = _pull_back(certificate, upper + lower, target.m, convert_cut)
+    return _verified(target, converted, "converted")
 
 
 # -- the full pipeline -------------------------------------------------------
@@ -577,28 +557,29 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
     norm = normalize(sys)
     if isinstance(norm, TriviallyUnsat):
         return _finalize_unsat(sys, norm.certificate, None, stats)
-
-    feas = check_feasible(norm)
-    if isinstance(feas, Infeasible):
-        return _finalize_unsat(sys, feas.certificate, norm, stats)
+    norm, kept = norm
 
     if not opts.transforms_enabled:
-        res = branch_and_bound(norm, None, opts, stats, deadline)
-        return _finalize(sys, norm, res, stats)
+        # The root node decides rational feasibility.
+        res = branch_and_bound(norm, opts, stats, deadline)
+        return _finalize(sys, kept, res, stats)
 
-    cls = classify(norm)
+    try:
+        cls = classify(norm)
+    except InfeasibleSystemError as exc:
+        return _finalize_unsat(sys, exc.certificate, kept, stats)
     stats.classification = cls.verdict.value
 
     if cls.verdict is Verdict.BOUNDED:
-        res = branch_and_bound(norm, None, opts, stats, deadline)
-        return _finalize(sys, norm, res, stats)
+        res = branch_and_bound(norm, opts, stats, deadline)
+        return _finalize(sys, kept, res, stats)
 
     if cls.verdict is Verdict.ABSOLUTELY_UNBOUNDED:
         model = unit_cube_test(norm)
         if model is None:
             raise InternalSoundnessError(
                 "unit cube test failed on an absolutely unbounded system")
-        return _finalize(sys, norm, Sat(model, stats), stats)
+        return _finalize(sys, kept, Sat(model, stats), stats)
 
     # Partially unbounded: reduce to the double-bounded part and transform.
     sp = split(norm, cls)
@@ -609,14 +590,14 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
     lower = [sp.lower[i] for i in row_perm]
 
     tsys = transformed_system(norm, h, lower, upper)
-    res = branch_and_bound(tsys, None, opts, stats, deadline)
+    res = branch_and_bound(tsys, opts, stats, deadline)
     if isinstance(res, Budget):
         return res
     if isinstance(res, Sat):
         model = mixed_extension(sp, v, h, res.model)
-        return _finalize(sys, norm, Sat(model, stats), stats)
+        return _finalize(sys, kept, Sat(model, stats), stats)
     cert = convert_certificate(sp, row_perm, v, res.certificate, norm)
-    return _finalize(sys, norm, Unsat(cert, stats), stats)
+    return _finalize(sys, kept, Unsat(cert, stats), stats)
 
 
 def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> ConstraintSystem:
@@ -629,41 +610,18 @@ def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> Const
     return ConstraintSystem(Matrix(rows), bounds, variables)
 
 
-def _remap_rows(cert, source: ConstraintSystem, target_m: int):
-    """Reindex a certificate from a row-subset system to its parent."""
-    origin = [tag.origin for tag in source.row_tags]
-    if isinstance(cert, FarkasCertificate):
-        y = [_ZERO] * target_m
-        for i, mult in enumerate(cert.multiplier_vector(source.m)):
-            if mult:
-                y[origin[i]] += mult
-        return FarkasCertificate(y)
-
-    def remap_leaf(leaf: RefutationLeaf) -> RefutationLeaf:
-        return RefutationLeaf(
-            {origin[i]: mult for i, mult in leaf.row_mults.items() if mult},
-            dict(leaf.cut_mults))
-
-    return _map_tree(cert, remap_leaf, lambda cut: cut)
-
-
-def _finalize(original, norm, res, stats) -> SolveResult:
+def _finalize(original, kept, res, stats) -> SolveResult:
     if isinstance(res, Budget):
         return res
     if isinstance(res, Sat):
         if not check_model(original, res.model):
             raise InternalSoundnessError("final model failed verification")
         return Sat(res.model, stats)
-    return _finalize_unsat(original, res.certificate, norm, stats)
+    return _finalize_unsat(original, res.certificate, kept, stats)
 
 
-def _finalize_unsat(original, certificate, norm, stats) -> SolveResult:
-    if norm is not None and norm is not original:
-        certificate = _remap_rows(certificate, norm, original.m)
-    if isinstance(certificate, FarkasCertificate):
-        if not check_certificate(original, certificate):
-            raise InternalSoundnessError("final certificate failed verification")
-    else:
-        if not check_refutation(original, certificate):
-            raise InternalSoundnessError("final refutation failed verification")
-    return Unsat(certificate, stats)
+def _finalize_unsat(original, certificate, kept, stats) -> SolveResult:
+    """Verify an Unsat witness against the input; kept maps normalized rows."""
+    if kept is not None and len(kept) < original.m:
+        certificate = _pull_back(certificate, [{k: 1} for k in kept], original.m)
+    return Unsat(_verified(original, certificate, "final"), stats)

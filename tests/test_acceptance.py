@@ -5,7 +5,6 @@ report lines.  All expected values are exact; the only tolerances are the
 wall-clock envelopes stated in the criteria themselves.
 """
 
-import math
 import random
 import time
 from fractions import Fraction

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import mehsolve.analysis as analysis
 from mehsolve.analysis import (
-    Classification,
     InfeasibleSystemError,
     Verdict,
     classify,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mehsolve.linalg import Matrix
-from mehsolve.model import check_certificate, check_model, Model
+from mehsolve.model import check_certificate
 from mehsolve.simplex import (
     EmptyStackError,
     Feasible,
@@ -15,7 +15,6 @@ from mehsolve.simplex import (
     SimplexInstance,
     UnboundedDirection,
     check_feasible,
-    instance_for,
     optimize,
 )
 

@@ -34,7 +34,6 @@ class TestParse:
         assert sys.m == 2
         assert sys.matrix.rows == [[1, 1], [-1, -1]]
         assert sys.bounds == [3, -3]
-        assert sys.row_tags[0].eq_group == sys.row_tags[1].eq_group is not None
 
     def test_strict_integer_tightening(self):
         sys = parse(

@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mehsolve.analysis import Verdict, classify, split
 from mehsolve.linalg import Matrix
 from mehsolve.mehnf import batch_mehnf
 from mehsolve.model import (
     Budget,
-    ConstraintSystem,
     FarkasCertificate,
     Model,
     Sat,
@@ -19,6 +17,7 @@ from mehsolve.model import (
     check_certificate,
     check_model,
 )
+from mehsolve.simplex import check_feasible
 from mehsolve.solver import (
     Cut,
     RefutationLeaf,
@@ -131,11 +130,12 @@ class TestBranchAndBound:
         assert res.stats.budget_reason == "branch-limit"
 
     def test_extra_bounds_are_constraints(self):
-        sys = mk_system([[1]], [10], "z")
-        box = VarBounds(lower={0: Fraction(1, 2)}, upper={0: Fraction(3, 4)})
-        res = branch_and_bound(sys, extra=box)
+        # x <= 10 with the box 1/2 <= x <= 3/4 written as rows: no integer.
+        sys = mk_system([[1], [1], [-1]], [10, Fraction(3, 4), Fraction(-1, 2)], "z")
+        res = branch_and_bound(sys)
         assert isinstance(res, Unsat)
-        good = branch_and_bound(sys, extra=VarBounds(lower={0: Fraction(0)}))
+        assert check_refutation(sys, res.certificate)
+        good = branch_and_bound(mk_system([[1], [-1]], [10, 0], "z"))
         assert isinstance(good, Sat)
         assert 0 <= good.model.values[0] <= 10
 
@@ -268,6 +268,34 @@ class TestSolve:
         assert isinstance(res, Unsat)
         assert isinstance(res.certificate, FarkasCertificate)
         assert check_certificate(sys, res.certificate)
+
+    @pytest.mark.parametrize("transforms", [True, False])
+    def test_rational_infeasibility_is_checked_once(self, transforms):
+        # x + y <= 1, x >= 1, y >= 1: classification (transforms on) or the
+        # root node of branch-and-bound (off) finds the LP infeasibility and
+        # returns check_feasible's certificate.
+        sys = mk_system([[1, 1], [-1, 0], [0, -1]], [1, -1, -1], "qz")
+        res = solve(sys, SolveOptions(transforms_enabled=transforms))
+        assert isinstance(res, Unsat)
+        assert res.certificate == check_feasible(sys).certificate
+        assert res.stats.classification is None
+        assert res.stats.nodes == (0 if transforms else 1)
+
+    @pytest.mark.parametrize("rows, bounds", [
+        ([[0, 0], [3, -3], [0, 0], [-3, 3]], [1, 2, 0, -1]),   # refutation
+        ([[0, 0], [1, 1], [0, 0], [-1, 0], [0, -1]], [1, 1, 0, -1, -1]),  # Farkas
+    ])
+    def test_unsat_witness_maps_past_dropped_rows(self, rows, bounds):
+        # normalize drops the constant rows 0 and 2; the witness found on
+        # the remaining rows must name rows of the input.
+        sys = mk_system(rows, bounds, "zz")
+        res = solve(sys)
+        assert isinstance(res, Unsat)
+        if isinstance(res.certificate, FarkasCertificate):
+            assert check_certificate(sys, res.certificate)
+            assert res.certificate.y[0] == res.certificate.y[2] == 0
+        else:
+            assert check_refutation(sys, res.certificate)
 
     def test_mixed_band_unsat_with_conversion(self):
         # Integer band plus a free row: the refutation must survive the

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys as _pysys
 from fractions import Fraction
@@ -5,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from mehsolve.bench import bench_directory, format_report, run_instance
+from mehsolve.bench import bench_directory, format_report
 from mehsolve.bruteforce import BoxTooLargeError, brute_force_solve
 from mehsolve.cli import main
 from mehsolve.model import Sat, check_model
-from mehsolve.smtlib import emit, parse
+from mehsolve.smtlib import parse
 from mehsolve.solver import SolveOptions, VarBounds, solve
 
 from helpers import mk_system, nested_sum
@@ -220,3 +221,16 @@ def test_cli_rejects_unparsable_timeout_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MEH_SOLVE_TIMEOUT", "abc")
     assert main(["solve", str(f)]) == 3
     assert main(["bench", str(tmp_path)]) == 3
+
+
+def test_benchmark_bindings_exist():
+    # perfbench/tracing.py wraps these module and class attributes; a
+    # renamed or removed one would otherwise surface only when the
+    # benchmark runs.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.TARGETS
+               if attr not in vars(owner)]
+    assert not missing
