@@ -34,7 +34,7 @@ from .model import (
     normalize,
 )
 from .mehnf import batch_mehnf
-from .simplex import Optimal, OptOutcome, SimplexInstance, UnboundedDirection, check_feasible, optimize
+from .simplex import Optimal, OptOutcome, SimplexInstance, UnboundedDirection, check_feasible, optimize, optimize_each
 from .smtlib import ParseError, UnsupportedConstructError, emit, parse, parse_file
 from .solver import (
     BranchRefutation,

@@ -1,12 +1,15 @@
 """Boundedness classification and the split into bounded/unbounded parts.
 
-A direction h is bounded in a feasible system A x <= b exactly when both
-LP probes over the recession cone A x <= 0 (maximize and minimize h . x)
-come back with optimum zero.  Classifying a system probes every row and
-every variable this way; splitting moves the bounded rows into a
-double-bounded part, computing an explicit lower bound for each row of
-that part together with the dual multipliers that derive it (needed later
-to convert certificates that lean on the implied lower bounds).
+A direction h is bounded in a feasible system A x <= b exactly when
+h . r = 0 for every r of the recession cone A x <= 0.  The bounded rows
+are thus the implicit equalities of the cone, and the bounded variables
+those whose unit vector lies in the span of these rows (Schrijver, *Theory
+of Linear and Integer Programming*, 1986, section 8.2; Bromberger and
+Weidenbach, "New techniques for linear arithmetic: cubes and equalities",
+FMSD 2017).  Splitting moves the bounded rows into a double-bounded part,
+computing an explicit lower bound for each row of that part together with
+the dual multipliers that derive it (needed later to convert certificates
+that lean on the implied lower bounds).
 """
 
 from __future__ import annotations
@@ -16,8 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import ConstraintSystem
-from .simplex import Infeasible, Optimal, UnboundedDirection, check_feasible, optimize
+from .linalg import Matrix, column_reduce
+from .model import ConstraintSystem, VarInfo, VarKind
+from .simplex import (
+    Infeasible, Optimal, UnboundedDirection, check_feasible, optimize, optimize_each)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class InfeasibleSystemError(ValueError):
@@ -92,41 +100,47 @@ def is_direction_bounded(sys: ConstraintSystem, h: Sequence[Fraction]) -> bool:
 def classify(sys: ConstraintSystem) -> Classification:
     """Determine which rows and variables are bounded, and the verdict.
 
-    Row probes run against the full recession cone.  Variable probes run
-    against the cone of the bounded part only, which is equivalent because
-    the bounded part of a system is self-contained, and keeps the LPs
-    small.
+    One LP finds the implicit equalities of the cone A x <= 0: maximize
+    sum t_i subject to a_i . x + t_i <= 0 and 0 <= t_i <= 1.  At every
+    optimum t_i is 0 on them and 1 on every other row (a relative interior
+    point of the cone, scaled up, is strict on all others at once).  A
+    variable is bounded exactly when its coordinate vanishes on the null
+    space of those rows, which one ``column_reduce`` yields.  The LP probe
+    ``is_direction_bounded`` decides one direction at a time instead.
     """
     feas = check_feasible(sys)
     if isinstance(feas, Infeasible):
         raise InfeasibleSystemError(feas.certificate)
-    cone = _recession_cone(sys)
-    bounded_rows = frozenset(
-        i for i in range(sys.m)
-        if _direction_bounded_in_cone(cone, sys.matrix.rows[i])
-    )
-    if bounded_rows:
-        part = sys.subset(sorted(bounded_rows))
-        part_cone = _recession_cone(part)
-        bounded_vars = frozenset(
-            j for j in range(sys.n)
-            if _direction_bounded_in_cone(part_cone, _unit(sys.n, j))
-        )
-    else:
-        bounded_vars = frozenset()
+    bounded_rows = _implicit_equalities(sys) if sys.m else []
+    _, v, pivot_rows = column_reduce(sys.subset(bounded_rows).matrix)
+    bounded_vars = frozenset(j for j in range(sys.n) if not any(v.rows[j][len(pivot_rows):]))
     if len(bounded_vars) == sys.n and sys.n > 0:
         verdict = Verdict.BOUNDED
     elif not bounded_rows:
         verdict = Verdict.ABSOLUTELY_UNBOUNDED
     else:
         verdict = Verdict.PARTIALLY_UNBOUNDED
-    return Classification(verdict, bounded_rows, bounded_vars)
+    return Classification(verdict, frozenset(bounded_rows), bounded_vars)
 
 
-def _unit(n: int, j: int) -> list[Fraction]:
-    e = [Fraction(0)] * n
-    e[j] = Fraction(1)
-    return e
+def _implicit_equalities(sys: ConstraintSystem) -> list[int]:
+    """The rows i with t_i = 0 at an optimum of the cone LP (see classify)."""
+    m, n = sys.m, sys.n
+    rows, bounds = [], []
+    for i, a in enumerate(sys.matrix.rows):
+        t = [_ZERO] * m
+        t[i] = _ONE
+        rows += [list(a) + t, [_ZERO] * n + [-c for c in t], [_ZERO] * n + t]
+        bounds += [_ZERO, _ZERO, _ONE]
+    names = [f"x{j}" for j in range(n)] + [f"t{i}" for i in range(m)]
+    lp = ConstraintSystem(Matrix(rows), bounds, [VarInfo(v, VarKind.RATIONAL) for v in names])
+    res = optimize(lp, [_ZERO] * n + [_ONE] * m, "max")
+    if not isinstance(res, Optimal):
+        raise AssertionError("recession cone LP is not optimal; simplex bug")
+    t = res.point[n:]
+    if any(ti not in (_ZERO, _ONE) for ti in t) or res.value != sum(t):
+        raise AssertionError("recession cone LP optimum is not 0/1 in t; simplex bug")
+    return [i for i, ti in enumerate(t) if not ti]
 
 
 def split(sys: ConstraintSystem, cls: Classification) -> SplitSystem:
@@ -134,22 +148,19 @@ def split(sys: ConstraintSystem, cls: Classification) -> SplitSystem:
 
     The lower bound of each bounded row is the optimum of minimizing that
     row over the bounded part alone; self-containment guarantees the LP is
-    never unbounded.  The minimizing dual multipliers are recorded.
+    never unbounded.  The m_2 LPs share one tableau, each re-optimizing
+    from the basis the one before it left.  The minimizing dual
+    multipliers are recorded.
     """
     bounded_idx = sorted(cls.bounded_rows)
     unbounded_idx = [i for i in range(sys.m) if i not in cls.bounded_rows]
     bounded = sys.subset(bounded_idx)
     unbounded = sys.subset(unbounded_idx)
-    lower: list[Fraction] = []
-    duals: list[list[Fraction]] = []
-    for i in range(bounded.m):
-        res = optimize(bounded, bounded.matrix.rows[i], "min")
-        if not isinstance(res, Optimal):
-            raise AssertionError(
-                "bounded part is not self-contained; upstream classification bug")
-        lower.append(res.value)
-        duals.append(res.dual)
+    results = optimize_each(bounded, bounded.matrix.rows, "min")
+    if not all(isinstance(res, Optimal) for res in results):
+        raise AssertionError(
+            "bounded part is not self-contained; upstream classification bug")
     return SplitSystem(
-        unbounded, bounded, lower, duals,
+        unbounded, bounded, [res.value for res in results], [res.dual for res in results],
         tuple(bounded_idx), tuple(unbounded_idx),
     )

@@ -9,9 +9,10 @@ call terminates; all arithmetic is exact.
 
 Conflicts and optimal duals are reported as lists of ``(BoundSource,
 multiplier)`` atoms.  For plain constraint systems the module-level
-wrappers ``check_feasible`` and ``optimize`` assemble those atoms into
-Farkas certificates over the system's rows and re-verify them with the
-independent checker before returning.
+wrappers ``check_feasible`` and ``optimize_each`` (with ``optimize``, its
+one-objective case) assemble those atoms into Farkas certificates over
+the system's rows and re-verify them with the independent checker before
+returning.
 """
 
 from __future__ import annotations
@@ -434,15 +435,30 @@ def check_feasible(sys: ConstraintSystem) -> Feasible | Infeasible:
 
 def optimize(sys: ConstraintSystem, h: Sequence[Fraction], sense: str) -> OptOutcome:
     """Optimize h . x over the system; sense is "min" or "max"."""
+    return optimize_each(sys, [h], sense)[0]
+
+
+def optimize_each(sys: ConstraintSystem, objectives: Sequence, sense: str) -> list[OptOutcome]:
+    """Optimize each objective in turn over one tableau of the system.
+
+    Every LP after the first re-optimizes from the basis the one before it
+    left; each outcome is re-verified against sys as ``optimize``'s is.
+    """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    hvec = [Fraction(x) for x in h]
-    if len(hvec) != sys.n:
-        raise ValueError("objective length does not match variable count")
-    if not any(hvec):
-        raise ValueError("objective must be non-zero")
-    goal = hvec if sense == "max" else [-x for x in hvec]
+    goals = []
+    for h in objectives:
+        hvec = [Fraction(x) for x in h]
+        if len(hvec) != sys.n:
+            raise ValueError("objective length does not match variable count")
+        if not any(hvec):
+            raise ValueError("objective must be non-zero")
+        goals.append(hvec if sense == "max" else [-x for x in hvec])
     inst = instance_for(sys)
+    return [_optimize_on(sys, inst, goal, sense) for goal in goals]
+
+
+def _optimize_on(sys: ConstraintSystem, inst: SimplexInstance, goal, sense) -> OptOutcome:
     res = inst.optimize_max({j: c for j, c in enumerate(goal) if c})
     if res[0] == "infeasible":
         cert = atoms_to_certificate(res[1], sys.m)

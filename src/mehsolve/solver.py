@@ -448,10 +448,6 @@ def mixed_extension(
             raise InternalSoundnessError("residual unit cube test failed")
         for pos, j in enumerate(free):
             tprime[j] = sub.values[pos]
-    elif unb.m and not free:
-        # No gap columns: t already fixes everything; the unbounded rows
-        # must hold by the split guarantees (verified by the caller).
-        pass
     return Model(v.apply(tprime))
 
 
@@ -622,6 +618,10 @@ def _finalize(original, kept, res, stats) -> SolveResult:
 
 def _finalize_unsat(original, certificate, kept, stats) -> SolveResult:
     """Verify an Unsat witness against the input; kept maps normalized rows."""
-    if kept is not None and len(kept) < original.m:
+    if kept is not None and len(kept) == original.m:
+        # normalize returned the input itself, and every route that ends
+        # here has already verified the witness against it.
+        return Unsat(certificate, stats)
+    if kept is not None:
         certificate = _pull_back(certificate, [{k: 1} for k in kept], original.m)
     return Unsat(_verified(original, certificate, "final"), stats)

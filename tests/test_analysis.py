@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mehsolve.analysis as analysis
@@ -12,7 +12,10 @@ from mehsolve.analysis import (
     is_direction_bounded,
     split,
 )
-from mehsolve.simplex import Feasible, Infeasible, Optimal, check_feasible
+from mehsolve.generators import GenParams, gen_random_unbounded
+from mehsolve.linalg import Matrix
+from mehsolve.model import ConstraintSystem, VarInfo, VarKind
+from mehsolve.simplex import Feasible, Infeasible, Optimal, UnboundedDirection, check_feasible
 
 from helpers import mk_system, systems
 
@@ -61,7 +64,71 @@ class TestIsDirectionBounded:
             is_direction_bounded(band_system(), [3, -3])
 
 
+@st.composite
+def feasible_systems(draw):
+    """Up to 6 rows over up to 4 mixed variables, feasible by a planted point.
+
+    In half of them some row is paired with its opposite, so that the
+    recession cone has implicit equalities.
+    """
+    n = draw(st.integers(1, 4))
+    n1 = draw(st.integers(0, n))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append([-a for a in draw(st.sampled_from(rows))])
+    point = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    bounds = [sum(a * x for a, x in zip(r, point)) + draw(st.integers(0, 3)) for r in rows]
+    variables = [VarInfo(f"x{j}", VarKind.RATIONAL if j < n1 else VarKind.INTEGER)
+                 for j in range(n)]
+    return ConstraintSystem(Matrix(rows) if rows else Matrix.zeros(0, n), bounds, variables)
+
+
+NO_ROWS = ConstraintSystem(Matrix.zeros(0, 2), [], [VarInfo("x", VarKind.RATIONAL),
+                                                    VarInfo("y", VarKind.INTEGER)])
+UNIT_BOX = mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "qz")
+# x + y and x - y are each pinned by a pair of rows: x and y are bounded,
+# although no row is a unit vector; z is not.
+PINNED_SUM_AND_DIFFERENCE = mk_system(
+    [[1, 1, 0], [-1, -1, 0], [1, -1, 0], [-1, 1, 0], [1, 2, 1]], [2, -1, 1, 0, 9], "zzz")
+SCALE_N8 = gen_random_unbounded(GenParams(seed=1, n_vars=8, n_bounded=4, n_unbounded=4))
+
+
 class TestClassify:
+    @given(feasible_systems())
+    @example(NO_ROWS)
+    @example(UNIT_BOX)
+    @example(PINNED_SUM_AND_DIFFERENCE)
+    @example(SCALE_N8)
+    def test_matches_direction_probes(self, sys):
+        # The oracle probes every row and every unit vector with two LPs.
+        cls = classify(sys)
+        units = [[Fraction(int(k == j)) for k in range(sys.n)] for j in range(sys.n)]
+        assert cls.bounded_rows == frozenset(
+            i for i, a in enumerate(sys.matrix.rows) if is_direction_bounded(sys, a))
+        assert cls.bounded_vars == frozenset(
+            j for j, e in enumerate(units) if is_direction_bounded(sys, e))
+
+    def test_pinned_sum_and_difference(self):
+        cls = classify(PINNED_SUM_AND_DIFFERENCE)
+        assert cls.verdict is Verdict.PARTIALLY_UNBOUNDED
+        assert cls.bounded_rows == frozenset(range(4))
+        assert cls.bounded_vars == frozenset({0, 1})
+
+    @pytest.mark.parametrize("result", [
+        Infeasible(None),
+        UnboundedDirection([Fraction(1), Fraction(0), Fraction(0), Fraction(0)]),
+        # t_0 = 1/2 is neither 0 nor 1.
+        Optimal(Fraction(1), [Fraction(0)] * 2 + [Fraction(1, 2)] * 2, [Fraction(0)] * 6),
+        # The value is not the sum of the t_i.
+        Optimal(Fraction(2), [Fraction(0)] * 3 + [Fraction(1)], [Fraction(0)] * 6),
+    ])
+    def test_unexpected_cone_lp_result_raises(self, monkeypatch, result):
+        # Explicit raises, not asserts: under python -O the checks stay.
+        monkeypatch.setattr(analysis, "optimize", lambda *args: result)
+        with pytest.raises(AssertionError, match="simplex bug"):
+            classify(band_system())
+
     def test_unit_box(self):
         sys = mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "qq")
         cls = classify(sys)

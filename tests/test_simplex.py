@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mehsolve.simplex as simplex
 from mehsolve.linalg import Matrix
 from mehsolve.model import check_certificate
 from mehsolve.simplex import (
@@ -16,6 +17,7 @@ from mehsolve.simplex import (
     UnboundedDirection,
     check_feasible,
     optimize,
+    optimize_each,
 )
 
 from helpers import mk_system, systems
@@ -120,6 +122,34 @@ class TestOptimize:
         assert isinstance(res, (Optimal, UnboundedDirection))
         if isinstance(res, Optimal):
             assert res.value == 0
+
+
+class TestOptimizeEach:
+    @given(systems(max_m=5, max_n=3),
+           st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any),
+                    min_size=1, max_size=4),
+           st.sampled_from(["min", "max"]))
+    def test_matches_separate_optimizations(self, sys, objectives, sense):
+        # Re-optimizing from the previous basis reaches the same outcome
+        # and optimum as a fresh tableau per objective.
+        objectives = [h[: sys.n] for h in objectives if any(h[: sys.n])]
+        shared = optimize_each(sys, objectives, sense)
+        assert len(shared) == len(objectives)
+        for h, res in zip(objectives, shared):
+            alone = optimize(sys, h, sense)
+            assert type(res) is type(alone)
+            if isinstance(res, Optimal):
+                assert res.value == alone.value
+                assert sum(a * x for a, x in zip(h, res.point)) == res.value
+
+    def test_one_tableau(self, monkeypatch):
+        built = []
+        real = simplex.instance_for
+        monkeypatch.setattr(simplex, "instance_for", lambda s: built.append(s) or real(s))
+        sys = mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "qq")
+        res = optimize_each(sys, sys.matrix.rows, "min")
+        assert [r.value for r in res] == [0, -1, 0, -1]
+        assert len(built) == 1
 
 
 def _vertices(sys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import mehsolve.solver as solver
 from mehsolve.analysis import Verdict, classify, split
 from mehsolve.linalg import Matrix
 from mehsolve.mehnf import batch_mehnf
@@ -296,6 +297,40 @@ class TestSolve:
             assert res.certificate.y[0] == res.certificate.y[2] == 0
         else:
             assert check_refutation(sys, res.certificate)
+
+    @staticmethod
+    def _count_refutation_checks(monkeypatch) -> list:
+        checked = []
+
+        def counting(system, refutation):
+            checked.append(system)
+            return check_refutation(system, refutation)
+
+        monkeypatch.setattr(solver, "check_refutation", counting)
+        return checked
+
+    def test_bounded_unsat_is_checked_once(self, monkeypatch):
+        # 1 <= 3x <= 2 drops no row, so the normalized system is the input:
+        # branch-and-bound's check of its refutation is the check against
+        # the input, and it is not repeated.
+        checked = self._count_refutation_checks(monkeypatch)
+        sys = mk_system([[3], [-3]], [2, -1], "z")
+        res = solve(sys)
+        assert isinstance(res, Unsat)
+        assert res.stats.classification == "bounded"
+        assert len(checked) == 1 and checked[0] is sys
+        assert check_refutation(sys, res.certificate)
+
+    def test_bounded_unsat_past_dropped_row_is_checked_again(self, monkeypatch):
+        # With a constant row dropped, the refutation of the normalized
+        # system is pulled back and checked once more, against the input.
+        checked = self._count_refutation_checks(monkeypatch)
+        sys = mk_system([[0], [3], [-3]], [1, 2, -1], "z")
+        res = solve(sys)
+        assert isinstance(res, Unsat)
+        assert len(checked) == 2
+        assert checked[0] is not sys and checked[1] is sys
+        assert check_refutation(sys, res.certificate)
 
     def test_mixed_band_unsat_with_conversion(self):
         # Integer band plus a free row: the refutation must survive the
