@@ -18,9 +18,10 @@ transformation pipeline, plus:
 * ``column_reduce`` (invertible rational column reduction, a loop over
   ``reduce_rat``) and ``hermite_normal_form`` (unimodular integer column
   reduction, a loop over the Euclidean step, also valid for rational input
-  matrices); ``mehnf.batch_mehnf`` builds the mixed normal form from these
-  two, and the Euclidean step treats every column of its matrix as
-  integer,
+  matrices), each on a column window: ``column_reduce`` pivots only in the
+  first ``cols`` columns, and ``hermite_normal_form`` can reduce an (h, u)
+  pair in place from (row0, col0) on; ``mehnf.batch_mehnf`` runs both on
+  one pair,
 * exact inversion, rank and determinant.
 
 Column indices in the public pivot helpers are 1-based to match the usual
@@ -311,6 +312,21 @@ def is_mctm(v: Matrix, n1: int, n2: int) -> bool:
     lower-right n2 x n2 block is integer with determinant +-1, and which is
     invertible overall (equivalently, the upper-left block is invertible).
     """
+    if not _has_mctm_blocks(v, n1, n2):
+        return False
+    if n2:
+        dz = Matrix([row[n1:] for row in v.rows[n1:]]).det()
+        if dz not in (1, -1):
+            return False
+    if n1:
+        if Matrix([row[:n1] for row in v.rows[:n1]]).det() == 0:
+            return False
+    return True
+
+
+def _has_mctm_blocks(v: Matrix, n1: int, n2: int) -> bool:
+    """The determinant-free part of is_mctm: square, lower-left block zero,
+    lower-right block integer."""
     n = n1 + n2
     if v.m != n or v.n != n:
         return False
@@ -318,13 +334,6 @@ def is_mctm(v: Matrix, n1: int, n2: int) -> bool:
         if any(v.rows[i][j] for j in range(n1)):
             return False
         if any(v.rows[i][j].denominator != 1 for j in range(n1, n)):
-            return False
-    if n2:
-        dz = Matrix([row[n1:] for row in v.rows[n1:]]).det()
-        if dz not in (1, -1):
-            return False
-    if n1:
-        if Matrix([row[:n1] for row in v.rows[:n1]]).det() == 0:
             return False
     return True
 
@@ -356,15 +365,15 @@ def abstract_to_int(h: Matrix, v: Matrix, p_row: int, p_col: int):
 
     Negates every column i >= p_col whose entry in the pivot row is
     negative (in both h and v), computes the lcm c of the denominators of
-    the pivot row's entries, and returns (c, s) where s maps column index
-    to the positive integer image entry * c.
+    the pivot row's entries from p_col on, and returns (c, s) where s maps
+    column index to the positive integer image entry * c.
     """
     row = h.rows[p_row]
     for j in range(p_col, h.n):
         if row[j] < 0:
             h.col_negate(j)
             v.col_negate(j)
-    c = math.lcm(*(x.denominator for x in row))
+    c = math.lcm(*(x.denominator for x in row[p_col:]))
     s = {j: int(row[j] * c) for j in range(p_col, h.n) if row[j] > 0}
     return c, s
 
@@ -397,43 +406,44 @@ def reduce_left_int(h: Matrix, v: Matrix, p_row: int, p_col: int) -> None:
     v.col_swap(p_col, gcd_col)
 
 
-def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int) -> None:
-    """Reduce the pivot row's entries left of the pivot into [0, pivot).
+def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int, first: int = 0) -> None:
+    """Reduce the pivot row's entries in columns first..p_col-1 into [0, pivot).
 
-    Subtracts floor(entry / pivot) times the pivot column from each
-    column left of it, working on the lcm-scaled integer images of the
-    pivot row's entries.
+    Subtracts floor(entry / pivot) times the pivot column from each of
+    those columns; columns left of ``first`` are not touched.
     """
     row = h.rows[p_row]
     pivot = row[p_col]
     if pivot <= 0:
         raise GapPreconditionError("pivot must be positive before right reduction")
-    c = math.lcm(*(x.denominator for x in row))
-    spp = pivot * c
-    for j in range(p_col):
-        q = (row[j] * c) // spp
+    for j in range(first, p_col):
+        q = row[j] // pivot
         if q:
             h.col_addmul(j, p_col, Fraction(-q))
             v.col_addmul(j, p_col, Fraction(-q))
 
 
-def column_reduce(m: Matrix) -> tuple[Matrix, Matrix, list[int]]:
+def column_reduce(m: Matrix, cols: int | None = None) -> tuple[Matrix, Matrix, list[int]]:
     """Greedy top-to-bottom rational column reduction.
 
-    Returns (h, v, pivot_rows) with h = m * v and v invertible.  Each row
-    that is independent of the rows above it becomes a pivot row: it is
-    listed in pivot_rows and turned into the next unit row e_1, e_2, ...;
-    every other row is zero right of len(pivot_rows) = rank(m).
+    Returns (h, v, pivot_rows) with h = m * v and v invertible.  Pivots are
+    searched only in the first ``cols`` columns (all by default).  Each row
+    that is independent of the rows above it in those columns becomes a
+    pivot row: it is listed in pivot_rows and turned into the next unit row
+    e_1, e_2, ... over the whole width, since ``reduce_rat`` clears every
+    other entry of the row; in every other row the searched columns are
+    zero from len(pivot_rows) on.
     """
+    cols = m.n if cols is None else cols
     h = m.copy()
     v = Matrix.identity(m.n)
     pivot_rows: list[int] = []
     r = 0
     for i in range(h.m):
-        if r == h.n:
+        if r == cols:
             break
         row = h.rows[i]
-        for j in range(r, h.n):
+        for j in range(r, cols):
             if row[j]:
                 break
         else:
@@ -444,25 +454,30 @@ def column_reduce(m: Matrix) -> tuple[Matrix, Matrix, list[int]]:
     return h, v, pivot_rows
 
 
-def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Bring m into Hermite normal form by unimodular column operations.
+def hermite_normal_form(h: Matrix, u: Matrix | None = None,
+                        row0: int = 0, col0: int = 0) -> tuple[Matrix, Matrix]:
+    """Bring h into Hermite normal form by unimodular column operations.
 
     Works for rational input matrices as well: the Euclidean reduction runs
     on the entries scaled by a common denominator, so only integer column
-    combinations, swaps and sign flips are ever applied.  Returns (h, u)
-    with h = m * u, u integer with determinant +-1, and
-    is_hermite_normal_form(h) true.
+    combinations, swaps and sign flips are ever applied.  Given only h,
+    reduces a copy and returns (h', u) with h' = h * u, u integer with
+    determinant +-1, and is_hermite_normal_form(h') true.
+
+    Given the pair (h, u), reduces it in place and returns it: the window of
+    rows >= row0 and columns >= col0 of h is brought into Hermite normal
+    form, every step acts on columns >= col0 only and is mirrored on u.
     """
-    h = m.copy()
-    u = Matrix.identity(m.n)
-    c = 0
-    for i in range(h.m):
+    if u is None:
+        h, u = h.copy(), Matrix.identity(h.n)
+    c = col0
+    for i in range(row0, h.m):
         if c == h.n:
             break
         if not any(h.rows[i][c:]):
             continue
         reduce_left_int(h, u, i, c)
-        reduce_right_int(h, u, i, c)
+        reduce_right_int(h, u, i, c, col0)
         c += 1
     return h, u
 
@@ -476,7 +491,9 @@ class TransformMatrix:
     n2: int
 
     def __post_init__(self):
-        if not is_mctm(self.matrix, self.n1, self.n2):
+        # is_mctm's determinants are left to the tests: V is built only from
+        # invertible column steps, and every answer is re-verified.
+        if not _has_mctm_blocks(self.matrix, self.n1, self.n2):
             raise ValueError("matrix violates the mixed column transformation shape")
 
     @property

@@ -12,9 +12,11 @@ witnessed by a single Farkas certificate; branch-and-bound therefore
 returns a *branch refutation*: a binary tree of integer-valid cuts whose
 leaves carry Farkas certificates over the system plus the cuts on the
 path.  ``check_refutation`` verifies such trees independently.  Every Sat
-result is re-checked with ``check_model`` and every Unsat result with
+result is checked with ``check_model`` and every Unsat result with
 ``check_certificate``/``check_refutation`` against the original system
-before it is returned, in all build modes.  Certificates and refutations
+before it is returned, in all build modes, and only once: a witness that
+a phase has verified against the normalized system is not checked again
+when that system is the input itself.  Certificates and refutations
 move from one system to another through ``_pull_back``, which needs only
 how each source row is combined from target rows.
 """
@@ -552,30 +554,30 @@ def solve(sys: ConstraintSystem, options: Optional[SolveOptions] = None) -> Solv
 def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
     norm = normalize(sys)
     if isinstance(norm, TriviallyUnsat):
-        return _finalize_unsat(sys, norm.certificate, None, stats)
+        return _finalize(sys, None, Unsat(norm.certificate, stats))
     norm, kept = norm
 
     if not opts.transforms_enabled:
         # The root node decides rational feasibility.
         res = branch_and_bound(norm, opts, stats, deadline)
-        return _finalize(sys, kept, res, stats)
+        return _finalize(sys, kept, res)
 
     try:
         cls = classify(norm)
     except InfeasibleSystemError as exc:
-        return _finalize_unsat(sys, exc.certificate, kept, stats)
+        return _finalize(sys, kept, Unsat(exc.certificate, stats))
     stats.classification = cls.verdict.value
 
     if cls.verdict is Verdict.BOUNDED:
         res = branch_and_bound(norm, opts, stats, deadline)
-        return _finalize(sys, kept, res, stats)
+        return _finalize(sys, kept, res)
 
     if cls.verdict is Verdict.ABSOLUTELY_UNBOUNDED:
         model = unit_cube_test(norm)
         if model is None:
             raise InternalSoundnessError(
                 "unit cube test failed on an absolutely unbounded system")
-        return _finalize(sys, kept, Sat(model, stats), stats)
+        return _finalize(sys, kept, Sat(model, stats))
 
     # Partially unbounded: reduce to the double-bounded part and transform.
     sp = split(norm, cls)
@@ -590,10 +592,11 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
     if isinstance(res, Budget):
         return res
     if isinstance(res, Sat):
+        # The extended model has been checked nowhere yet.
         model = mixed_extension(sp, v, h, res.model)
-        return _finalize(sys, kept, Sat(model, stats), stats)
+        return _finalize(sys, None, Sat(model, stats))
     cert = convert_certificate(sp, row_perm, v, res.certificate, norm)
-    return _finalize(sys, kept, Unsat(cert, stats), stats)
+    return _finalize(sys, kept, Unsat(cert, stats))
 
 
 def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> ConstraintSystem:
@@ -606,22 +609,21 @@ def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> Const
     return ConstraintSystem(Matrix(rows), bounds, variables)
 
 
-def _finalize(original, kept, res, stats) -> SolveResult:
-    if isinstance(res, Budget):
+def _finalize(original, kept, res) -> SolveResult:
+    """res, after verifying its witness against the input if still needed.
+
+    kept is None when the witness is over the input and unchecked.
+    Otherwise it was verified against the normalized system, whose row i
+    is input row kept[i]; when no row was dropped, that system is the
+    input itself and the witness is not checked again.
+    """
+    if isinstance(res, Budget) or (kept is not None and len(kept) == original.m):
         return res
     if isinstance(res, Sat):
         if not check_model(original, res.model):
             raise InternalSoundnessError("final model failed verification")
-        return Sat(res.model, stats)
-    return _finalize_unsat(original, res.certificate, kept, stats)
-
-
-def _finalize_unsat(original, certificate, kept, stats) -> SolveResult:
-    """Verify an Unsat witness against the input; kept maps normalized rows."""
-    if kept is not None and len(kept) == original.m:
-        # normalize returned the input itself, and every route that ends
-        # here has already verified the witness against it.
-        return Unsat(certificate, stats)
+        return res
+    certificate = res.certificate
     if kept is not None:
         certificate = _pull_back(certificate, [{k: 1} for k in kept], original.m)
-    return Unsat(_verified(original, certificate, "final"), stats)
+    return Unsat(_verified(original, certificate, "final"), res.stats)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mehsolve.linalg import (
@@ -15,7 +15,7 @@ from mehsolve.linalg import (
 )
 from mehsolve.mehnf import batch_mehnf, rpiv
 
-from helpers import small_ints
+from helpers import small_fractions, small_ints
 
 
 class TestPivHelpers:
@@ -154,3 +154,53 @@ class TestBatchMehnf:
         assert is_mehnf(h, n1, r)
         assert is_mctm(v.matrix, n1, n2)
 
+    @given(
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+        small_fractions, st.data(),
+    )
+    @settings(max_examples=80)
+    def test_random_rational_structure(self, m, n1, n2, factor, data):
+        # The last row's rational part is a non-zero multiple of the first
+        # row's, so it is no pivot row and stays non-zero in the rational
+        # columns of h: a right reduction that strayed into rational
+        # columns would add integer columns there and break the MCTM shape.
+        n = n1 + n2
+        rows = data.draw(st.lists(
+            st.lists(small_fractions, min_size=n, max_size=n), min_size=m, max_size=m))
+        assume(factor and any(rows[0][:n1]))
+        tail = data.draw(st.lists(small_fractions, min_size=n2, max_size=n2))
+        rows.append([factor * x for x in rows[0][:n1]] + tail)
+        d = Matrix(rows)
+        h, v, perm = batch_mehnf(d, n1)
+        dp = Matrix([d.rows[i] for i in perm])
+        assert h == dp * v.matrix
+        r = rpiv(h.m, h, n1)
+        assert is_mehnf(h, n1, r)
+        assert is_mctm(v.matrix, n1, n2)
+        assert any(any(row[:n1]) for row in h.rows[r:])
+
+    # (rows, n1, row_perm, h, v): exact outputs, pinned so that a rewrite
+    # of the column kernels cannot change them unnoticed.
+    GOLDEN = [
+        ([["1/2", 3, "-2/3"], [2, "1/3", 4], [-1, "5/2", 7]], 1,
+         (0, 1, 2),
+         [[1, 0, 0], [4, "5/3", 0], [-2, "119/6", "221/3"]],
+         [[2, "-10/3", "-44/3"], [0, 1, 4], [0, 2, 7]]),
+        ([[0, 0, "4/3", -3], ["3/2", -1, 6, "1/2"], [1, "1/2", -2, 5], [2, 0, "5/3", 1]], 2,
+         (1, 2, 0, 3),
+         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1/3", 0], ["4/7", "8/7", "83/21", "107/7"]],
+         [["2/7", "4/7", "29/7", "120/7"], ["-4/7", "6/7", "-44/7", "-212/7"],
+          [0, 0, -2, -9], [0, 0, -1, -4]]),
+        ([["1/3", "2/3", 1, -1, 2], [1, 2, "3/4", 0, 3], [2, 4, 0, 5, "-7/2"]], 2,
+         (0, 1, 2),
+         [[1, 0, 0, 0, 0], [3, 0, "3/4", 0, 0], [6, 0, "1/2", "9/2", 0]],
+         [[3, -2, -3, 3, -9], [0, 1, 0, 0, 0], [0, 0, 1, 0, 4],
+          [0, 0, 2, -1, 5], [0, 0, 1, -1, 2]]),
+    ]
+
+    @pytest.mark.parametrize("rows, n1, perm, h, v", GOLDEN)
+    def test_golden_output(self, rows, n1, perm, h, v):
+        got_h, got_v, got_perm = batch_mehnf(Matrix(rows), n1)
+        assert got_perm == perm
+        assert got_h == Matrix(h)
+        assert got_v.matrix == Matrix(v)

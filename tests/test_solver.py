@@ -332,6 +332,35 @@ class TestSolve:
         assert checked[0] is not sys and checked[1] is sys
         assert check_refutation(sys, res.certificate)
 
+    @pytest.mark.parametrize("sys, classification", [
+        (mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "zz"), "bounded"),
+        (mk_system([[1, 1]], [0], "zz"), "absolutely-unbounded"),
+        (band("qz", [[1, 1]], [10]), "partially-unbounded"),
+    ])
+    def test_sat_model_is_checked_once_on_the_input(self, monkeypatch, sys, classification):
+        # No row is dropped, so the normalized system is the input: a model
+        # that branch-and-bound or the unit cube test has checked against
+        # it is not checked again, and the extended model of the partially
+        # unbounded route is checked exactly once.
+        checked = []
+
+        def counting(system, model):
+            checked.append(system)
+            return check_model(system, model)
+
+        monkeypatch.setattr(solver, "check_model", counting)
+        res = solve(sys)
+        assert isinstance(res, Sat)
+        assert res.stats.classification == classification
+        assert sum(1 for system in checked if system is sys) == 1
+        assert check_model(sys, res.model)
+
+    def test_wrong_extended_model_is_caught(self, monkeypatch):
+        monkeypatch.setattr(solver, "mixed_extension",
+                            lambda sp, v, h, t: Model([Fraction(0), Fraction(0)]))
+        with pytest.raises(solver.InternalSoundnessError):
+            solve(band("qz", [[1, 1]], [10]))
+
     def test_mixed_band_unsat_with_conversion(self):
         # Integer band plus a free row: the refutation must survive the
         # mapping back through the transformation and the implied lower
