@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Print one line per benchmark instance: verdict, classification, nodes, witness.
+
+    python3 scripts/identity_dump.py --seeds 1 2 3 > after.txt
+    python3 scripts/identity_dump.py --workload suite_mix --seeds 1 --digest
+
+Generates each workload of ``perfbench/workloads.py`` at the given seeds,
+solves every instance with this checkout's sources and prints
+``workload seed name verdict classification nodes witness``, where the
+witness is the ``repr`` of the model, certificate or refutation (with
+``--digest``, the SHA-256 of that ``repr``).  Copy the script into another
+checkout and diff the two outputs: identical output means identical
+verdicts and witnesses.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402  (puts the checkout's src/ on the path)
+from mehsolve import smtlib, solver  # noqa: E402
+from mehsolve.model import Budget, Sat  # noqa: E402
+
+
+def dump_line(workload: str, seed: int, inst, digest: bool) -> str:
+    res = solver.solve(smtlib.parse(inst.text))
+    if isinstance(res, Budget):
+        verdict, witness = "budget", repr(res.stats.budget_reason)
+    elif isinstance(res, Sat):
+        verdict, witness = "sat", repr(res.model)
+    else:
+        verdict, witness = "unsat", repr(res.certificate)
+    if digest:
+        witness = hashlib.sha256(witness.encode()).hexdigest()
+    return (f"{workload} {seed} {inst.name} {verdict} {res.stats.classification} "
+            f"{res.stats.nodes} {witness}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", action="append", choices=tuple(workloads.GENERATORS),
+                    help="workload to dump (repeatable; default: all)")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--digest", action="store_true",
+                    help="print the SHA-256 of each witness repr instead of the repr")
+    args = ap.parse_args()
+    for name in args.workload or workloads.GENERATORS:
+        for seed in args.seeds:
+            for inst in workloads.GENERATORS[name](seed).instances():
+                print(dump_line(name, seed, inst, args.digest), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,9 +44,17 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """The verdict with the bounded rows and variables.
+
+    ``equalities`` lists, for a BOUNDED system only, one row of each
+    explicit equality: a row whose exact opposite, bound included, is a
+    later row (the parser writes ``=`` as such a pair).
+    """
+
     verdict: Verdict
     bounded_rows: frozenset[int]
     bounded_vars: frozenset[int]
+    equalities: tuple[int, ...] = ()
 
 
 @dataclass
@@ -100,27 +108,70 @@ def is_direction_bounded(sys: ConstraintSystem, h: Sequence[Fraction]) -> bool:
 def classify(sys: ConstraintSystem) -> Classification:
     """Determine which rows and variables are bounded, and the verdict.
 
-    One LP finds the implicit equalities of the cone A x <= 0: maximize
-    sum t_i subject to a_i . x + t_i <= 0 and 0 <= t_i <= 1.  At every
-    optimum t_i is 0 on them and 1 on every other row (a relative interior
-    point of the cone, scaled up, is strict on all others at once).  A
-    variable is bounded exactly when its coordinate vanishes on the null
-    space of those rows, which one ``column_reduce`` yields.  The LP probe
-    ``is_direction_bounded`` decides one direction at a time instead.
+    A system in which a single-variable row bounds every variable from
+    above and another one from below is boxed: its recession cone is {0},
+    so every row and every variable is bounded, and no LP beyond the
+    feasibility check is needed.  Otherwise one LP finds the implicit
+    equalities of the cone A x <= 0: maximize sum t_i subject to
+    a_i . x + t_i <= 0 and 0 <= t_i <= 1.  At every optimum t_i is 0 on
+    them and 1 on every other row (a relative interior point of the cone,
+    scaled up, is strict on all others at once).  A variable is bounded
+    exactly when its coordinate vanishes on the null space of those rows,
+    which one ``column_reduce`` yields.  The LP probe
+    ``is_direction_bounded`` decides one direction at a time instead.  A
+    BOUNDED verdict also reports the explicit equalities, which ``solve``
+    sends through the MEHNF.
     """
     feas = check_feasible(sys)
     if isinstance(feas, Infeasible):
         raise InfeasibleSystemError(feas.certificate)
-    bounded_rows = _implicit_equalities(sys) if sys.m else []
-    _, v, pivot_rows = column_reduce(sys.subset(bounded_rows).matrix)
-    bounded_vars = frozenset(j for j in range(sys.n) if not any(v.rows[j][len(pivot_rows):]))
-    if len(bounded_vars) == sys.n and sys.n > 0:
-        verdict = Verdict.BOUNDED
-    elif not bounded_rows:
-        verdict = Verdict.ABSOLUTELY_UNBOUNDED
+    if sys.n and _is_boxed(sys):
+        bounded_rows, bounded_vars = range(sys.m), frozenset(range(sys.n))
     else:
-        verdict = Verdict.PARTIALLY_UNBOUNDED
+        bounded_rows = _implicit_equalities(sys) if sys.m else []
+        _, v, pivot_rows = column_reduce(sys.subset(bounded_rows).matrix)
+        bounded_vars = frozenset(
+            j for j in range(sys.n) if not any(v.rows[j][len(pivot_rows):]))
+    if len(bounded_vars) == sys.n and sys.n > 0:
+        return Classification(Verdict.BOUNDED, frozenset(bounded_rows), bounded_vars,
+                              _equality_rows(sys))
+    verdict = Verdict.PARTIALLY_UNBOUNDED if bounded_rows else Verdict.ABSOLUTELY_UNBOUNDED
     return Classification(verdict, frozenset(bounded_rows), bounded_vars)
+
+
+def _is_boxed(sys: ConstraintSystem) -> bool:
+    """Whether single-variable rows bound every variable from both sides."""
+    above, below = set(), set()
+    for row in sys.matrix.rows:
+        support = [j for j, a in enumerate(row) if a]
+        if len(support) == 1:
+            j = support[0]
+            (above if row[j] > 0 else below).add(j)
+    return len(above) == len(below) == sys.n
+
+
+def _equality_rows(sys: ConstraintSystem) -> tuple[int, ...]:
+    """Each row i that some later row k pairs with: a_k = -a_i, b_k = -b_i.
+
+    A row takes part in at most one pair.
+    """
+    # Keyed by the bound's integer terms: hashing a Fraction is slower.
+    keys = [(b.numerator, b.denominator) for b in sys.bounds]
+    by_bound: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        by_bound.setdefault(key, []).append(i)
+    rows = sys.matrix.rows
+    paired: set[int] = set()
+    out = []
+    for i, (p, q) in enumerate(keys):
+        if i in paired:
+            continue
+        for k in by_bound.get((-p, q), ()):
+            if k > i and k not in paired and all(x == -y for x, y in zip(rows[k], rows[i])):
+                paired.add(k)
+                out.append(i)
+                break
+    return tuple(out)
 
 
 def _implicit_equalities(sys: ConstraintSystem) -> list[int]:

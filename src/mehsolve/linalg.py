@@ -423,23 +423,25 @@ def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int, first: int = 
             v.col_addmul(j, p_col, Fraction(-q))
 
 
-def column_reduce(m: Matrix, cols: int | None = None) -> tuple[Matrix, Matrix, list[int]]:
+def column_reduce(m: Matrix, cols: int | None = None,
+                  rows: int | None = None) -> tuple[Matrix, Matrix, list[int]]:
     """Greedy top-to-bottom rational column reduction.
 
     Returns (h, v, pivot_rows) with h = m * v and v invertible.  Pivots are
-    searched only in the first ``cols`` columns (all by default).  Each row
-    that is independent of the rows above it in those columns becomes a
-    pivot row: it is listed in pivot_rows and turned into the next unit row
-    e_1, e_2, ... over the whole width, since ``reduce_rat`` clears every
-    other entry of the row; in every other row the searched columns are
-    zero from len(pivot_rows) on.
+    searched only in the first ``rows`` rows and the first ``cols`` columns
+    (all by default); later rows only ride along the column steps.  Each
+    searched row that is independent of the rows above it in those columns
+    becomes a pivot row: it is listed in pivot_rows and turned into the
+    next unit row e_1, e_2, ... over the whole width, since ``reduce_rat``
+    clears every other entry of the row; in every other searched row the
+    searched columns are zero from len(pivot_rows) on.
     """
     cols = m.n if cols is None else cols
     h = m.copy()
     v = Matrix.identity(m.n)
     pivot_rows: list[int] = []
     r = 0
-    for i in range(h.m):
+    for i in range(h.m if rows is None else rows):
         if r == cols:
             break
         row = h.rows[i]
@@ -454,8 +456,8 @@ def column_reduce(m: Matrix, cols: int | None = None) -> tuple[Matrix, Matrix, l
     return h, v, pivot_rows
 
 
-def hermite_normal_form(h: Matrix, u: Matrix | None = None,
-                        row0: int = 0, col0: int = 0) -> tuple[Matrix, Matrix]:
+def hermite_normal_form(h: Matrix, u: Matrix | None = None, row0: int = 0,
+                        col0: int = 0, rows: int | None = None) -> tuple[Matrix, Matrix]:
     """Bring h into Hermite normal form by unimodular column operations.
 
     Works for rational input matrices as well: the Euclidean reduction runs
@@ -465,13 +467,14 @@ def hermite_normal_form(h: Matrix, u: Matrix | None = None,
     determinant +-1, and is_hermite_normal_form(h') true.
 
     Given the pair (h, u), reduces it in place and returns it: the window of
-    rows >= row0 and columns >= col0 of h is brought into Hermite normal
-    form, every step acts on columns >= col0 only and is mirrored on u.
+    rows row0..rows-1 (to the last row by default) and columns >= col0 of h
+    is brought into Hermite normal form, every step acts on columns >= col0
+    only and is mirrored on u; rows past the window ride along.
     """
     if u is None:
         h, u = h.copy(), Matrix.identity(h.n)
     c = col0
-    for i in range(row0, h.m):
+    for i in range(row0, h.m if rows is None else rows):
         if c == h.n:
             break
         if not any(h.rows[i][c:]):

@@ -7,7 +7,8 @@ each pivot step clearing its whole row, coupling block included; the pivot
 rows move on top (a row permutation commutes with column steps); and
 ``linalg.hermite_normal_form`` reduces the window of the remaining rows and
 the integer columns in place, never adding into a rational column, so v
-stays a mixed column transformation matrix.
+stays a mixed column transformation matrix.  Further rows can ride along
+the same column steps; they come out multiplied by v, with no product.
 """
 
 from __future__ import annotations
@@ -32,20 +33,29 @@ def rpiv(k: int, h: Matrix, n1: int) -> int:
     return 0
 
 
-def batch_mehnf(d: Matrix, n1: int) -> tuple[Matrix, TransformMatrix, tuple[int, ...]]:
+def batch_mehnf(d: Matrix, n1: int,
+                ride: Matrix | None = None) -> tuple[Matrix, TransformMatrix, tuple[int, ...]]:
     """Construct the MEHNF of d after a suitable row permutation.
 
     Returns (h, v, row_perm) with h = P d V where P reorders the rows so
     that the rows spanning the rational block's row space come first
     (row_perm[i] is the input row at output position i), h satisfies
     is_mehnf, and v is a mixed column transformation matrix.
+
+    With ``ride``, a matrix as wide as d, its rows ride along every column
+    step without ever becoming pivot rows: h then continues below the
+    normal form with ride V, in ride's row order.
     """
-    h, v, pivot_rows = column_reduce(d, n1)
+    m = d.m
+    if ride is not None:
+        d = Matrix(d.rows + ride.rows)
+    h, v, pivot_rows = column_reduce(d, n1, m)
     r = len(pivot_rows)
     chosen = set(pivot_rows)
-    row_perm = tuple(pivot_rows + [i for i in range(d.m) if i not in chosen])
-    h.rows = [h.rows[i] for i in row_perm]
-    hermite_normal_form(h, v, r, n1)
+    row_perm = tuple(pivot_rows + [i for i in range(m) if i not in chosen])
+    h.rows[:m] = [h.rows[i] for i in row_perm]
+    hermite_normal_form(h, v, r, n1, m)
     if __debug__:
-        assert is_mehnf(h, n1, r), "batch construction lost the MEHNF shape"
+        top = h if ride is None else Matrix(h.rows[:m])
+        assert is_mehnf(top, n1, r), "batch construction lost the MEHNF shape"
     return h, TransformMatrix(v, n1, d.n - n1), row_perm

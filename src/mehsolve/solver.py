@@ -1,11 +1,16 @@
 """Branch-and-bound pipeline over the boundedness-driven transformations.
 
 ``solve`` normalizes, classifies (which first checks rational
-feasibility), and then dispatches: bounded systems go straight to
-branch-and-bound, absolutely unbounded systems to the unit cube test, and
-partially unbounded systems through the split / Mixed-Echelon-Hermite
-route, whose results are mapped back to the original system
-(``mixed_extension`` for models, ``convert_certificate`` for refutations).
+feasibility), and then dispatches: bounded systems go to branch-and-bound,
+absolutely unbounded systems to the unit cube test, and partially
+unbounded systems through the split / Mixed-Echelon-Hermite route, whose
+results are mapped back to the original system (``mixed_extension`` for
+models, ``convert_certificate`` for refutations).  A bounded system with
+explicit equalities is searched in the variables y = V^-1 x of the
+equalities' Mixed-Echelon-Hermite transform, where an equality whose
+coefficients share a factor that its right-hand side lacks is refuted by
+one branch; its models map back as x = V y through ``mixed_extension``
+and its refutations through ``convert_certificate``.
 
 Unsatisfiability of a mixed system that is rationally feasible cannot be
 witnessed by a single Farkas certificate; branch-and-bound therefore
@@ -409,7 +414,7 @@ def unit_cube_test(sys: ConstraintSystem) -> Optional[Model]:
 
 
 def mixed_extension(
-    sp: SplitSystem,
+    sp: Optional[SplitSystem],
     v: TransformMatrix,
     h: Matrix,
     t: Model,
@@ -420,7 +425,11 @@ def mixed_extension(
     is rewritten over the remaining (gap) columns and solved with the unit
     cube test, which cannot fail there because every direction of the
     residual system is unbounded.  Returns V t' in original coordinates.
+    Without sp (the bounded route) there is no unbounded part, and the
+    result is V t.
     """
+    if sp is None:
+        return Model(v.apply(t.values))
     n = v.n
     fixed = [j for j in range(n) if any(row[j] for row in h.rows)]
     free = [j for j in range(n) if j not in set(fixed)]
@@ -497,34 +506,49 @@ def _pull_back(cert, row_map: Sequence[dict[int, Fraction]], m: int,
     return _farkas(mapped, m) if isinstance(mapped, RefutationLeaf) else mapped
 
 
+def _cut_map(v: TransformMatrix):
+    """The map of a branch cut on y_j into x = V y: row j of V^-1.
+
+    V^-1 is a mixed column transformation matrix, so that row vanishes on
+    the rational columns and is integral on the integer ones.
+    """
+    vinv = v.inverse().matrix.rows
+
+    def convert_cut(cut: Cut) -> Cut:
+        support = [j for j, c in enumerate(cut.coeffs) if c]
+        if len(support) != 1 or cut.coeffs[support[0]] != 1:
+            raise InternalSoundnessError("branch cut is not a unit vector")
+        return Cut(tuple(vinv[support[0]]), cut.value)
+
+    return convert_cut
+
+
 def convert_certificate(
-    sp: SplitSystem,
+    sp: Optional[SplitSystem],
     row_perm: Sequence[int],
     v: TransformMatrix,
     certificate,
     target: ConstraintSystem,
 ):
-    """Map a refutation of the transformed double-bounded system back.
+    """Map a refutation of a transformed system back to target.
 
-    Multipliers on upper rows map straight onto the original rows; ones on
+    With sp, the refutation is of the transformed double-bounded system:
+    multipliers on upper rows map straight onto the original rows; ones on
     implied lower-bound rows are expanded through the dual multipliers
-    recorded when the split computed the explicit lower bounds; branch cuts
-    on transformed variables become cuts on the original variables through
-    the inverse transformation.  The result is re-verified against the
-    target system.
+    recorded when the split computed the explicit lower bounds.  Without
+    sp (the bounded route, where row_perm is unused), the transformed
+    system is target's rows times v, row for row, and every multiplier
+    stays on its row.  In both cases branch cuts on transformed variables
+    become cuts on the original variables through the inverse
+    transformation.  The result is re-verified against the target system.
     """
-    origin = sp.bounded_origin
-    upper = [{origin[i]: 1} for i in row_perm]
-    lower = [{origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w}
-             for i in row_perm]
-    vinv = v.inverse()
-
-    def convert_cut(cut: Cut) -> Cut:
-        j = next(i for i, c in enumerate(cut.coeffs) if c)
-        assert cut.coeffs[j] == 1 and sum(1 for c in cut.coeffs if c) == 1
-        return Cut(tuple(vinv.matrix.rows[j]), cut.value)
-
-    converted = _pull_back(certificate, upper + lower, target.m, convert_cut)
+    if sp is None:
+        row_map = [{i: 1} for i in range(target.m)]
+    else:
+        origin = sp.bounded_origin
+        row_map = [{origin[i]: 1} for i in row_perm] + [
+            {origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w} for i in row_perm]
+    converted = _pull_back(certificate, row_map, target.m, _cut_map(v))
     return _verified(target, converted, "converted")
 
 
@@ -535,11 +559,16 @@ def solve(sys: ConstraintSystem, options: Optional[SolveOptions] = None) -> Solv
     """Decide mixed satisfiability of the system.
 
     Pipeline: normalize, rational feasibility, classification, then either
-    direct branch-and-bound (bounded), the unit cube test (absolutely
-    unbounded), or split + Mixed-Echelon-Hermite + branch-and-bound with
-    model/certificate conversion (partially unbounded).  With transforms
-    disabled, branch-and-bound runs on the raw system under the option
-    limits and may return Budget.
+    branch-and-bound (bounded), the unit cube test (absolutely unbounded),
+    or split + Mixed-Echelon-Hermite + branch-and-bound with
+    model/certificate conversion (partially unbounded).  A bounded system
+    without explicit equalities is searched as it is; one with them is
+    searched as A V y <= b, where V transforms the equality rows into
+    Mixed-Echelon-Hermite normal form, and its witness is mapped back by
+    ``mixed_extension`` (x = V y) or ``convert_certificate``.
+    ``stats.transform_seconds`` times ``batch_mehnf`` on either route.
+    With transforms disabled, branch-and-bound runs on the raw system
+    under the option limits and may return Budget.
     """
     opts = options or SolveOptions()
     stats = SolveStats()
@@ -568,10 +597,6 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
         return _finalize(sys, kept, Unsat(exc.certificate, stats))
     stats.classification = cls.verdict.value
 
-    if cls.verdict is Verdict.BOUNDED:
-        res = branch_and_bound(norm, opts, stats, deadline)
-        return _finalize(sys, kept, res)
-
     if cls.verdict is Verdict.ABSOLUTELY_UNBOUNDED:
         model = unit_cube_test(norm)
         if model is None:
@@ -579,20 +604,34 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
                 "unit cube test failed on an absolutely unbounded system")
         return _finalize(sys, kept, Sat(model, stats))
 
-    # Partially unbounded: reduce to the double-bounded part and transform.
-    sp = split(norm, cls)
-    t0 = time.monotonic()
-    h, v, row_perm = batch_mehnf(sp.bounded.matrix, norm.n1)
-    stats.transform_seconds = time.monotonic() - t0
-    upper = [sp.bounded.bounds[i] for i in row_perm]
-    lower = [sp.lower[i] for i in row_perm]
+    if cls.verdict is Verdict.BOUNDED:
+        if not cls.equalities:
+            res = branch_and_bound(norm, opts, stats, deadline)
+            return _finalize(sys, kept, res)
+        # Search in y = V^-1 x, V from the MEHNF of the equality rows; the
+        # whole system rides along the column steps and comes out as A V.
+        sp = None
+        eq = cls.equalities
+        t0 = time.monotonic()
+        h, v, row_perm = batch_mehnf(
+            Matrix([norm.matrix.rows[i] for i in eq]), norm.n1, norm.matrix)
+        stats.transform_seconds = time.monotonic() - t0
+        tsys = ConstraintSystem(Matrix(h.rows[len(eq):]), norm.bounds, _y_variables(norm))
+    else:
+        # Partially unbounded: reduce to the double-bounded part and transform.
+        sp = split(norm, cls)
+        t0 = time.monotonic()
+        h, v, row_perm = batch_mehnf(sp.bounded.matrix, norm.n1)
+        stats.transform_seconds = time.monotonic() - t0
+        upper = [sp.bounded.bounds[i] for i in row_perm]
+        lower = [sp.lower[i] for i in row_perm]
+        tsys = transformed_system(norm, h, lower, upper)
 
-    tsys = transformed_system(norm, h, lower, upper)
     res = branch_and_bound(tsys, opts, stats, deadline)
     if isinstance(res, Budget):
         return res
     if isinstance(res, Sat):
-        # The extended model has been checked nowhere yet.
+        # The model in x has been checked nowhere yet.
         model = mixed_extension(sp, v, h, res.model)
         return _finalize(sys, None, Sat(model, stats))
     cert = convert_certificate(sp, row_perm, v, res.certificate, norm)
@@ -605,8 +644,12 @@ def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> Const
     for i, r in enumerate(h.rows):
         rows.append([-c for c in r])
         bounds.append(-lower[i])
-    variables = [VarInfo(f"y{j}", var.kind) for j, var in enumerate(norm.variables)]
-    return ConstraintSystem(Matrix(rows), bounds, variables)
+    return ConstraintSystem(Matrix(rows), bounds, _y_variables(norm))
+
+
+def _y_variables(norm: ConstraintSystem) -> list[VarInfo]:
+    """The variables y = V^-1 x of a transformed system, typed like x."""
+    return [VarInfo(f"y{j}", var.kind) for j, var in enumerate(norm.variables)]
 
 
 def _finalize(original, kept, res) -> SolveResult:

@@ -69,7 +69,8 @@ def feasible_systems(draw):
     """Up to 6 rows over up to 4 mixed variables, feasible by a planted point.
 
     In half of them some row is paired with its opposite, so that the
-    recession cone has implicit equalities.
+    recession cone has implicit equalities.  In a third of them the random
+    rows come with a box: rows +-e_j for every variable j.
     """
     n = draw(st.integers(1, 4))
     n1 = draw(st.integers(0, n))
@@ -77,6 +78,8 @@ def feasible_systems(draw):
     rows = draw(st.lists(row, max_size=5))
     if rows and draw(st.booleans()):
         rows.append([-a for a in draw(st.sampled_from(rows))])
+    if draw(st.integers(0, 2)) == 0:
+        rows += [[s * int(k == j) for k in range(n)] for j in range(n) for s in (1, -1)]
     point = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     bounds = [sum(a * x for a, x in zip(r, point)) + draw(st.integers(0, 3)) for r in rows]
     variables = [VarInfo(f"x{j}", VarKind.RATIONAL if j < n1 else VarKind.INTEGER)
@@ -92,6 +95,20 @@ UNIT_BOX = mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "qz")
 PINNED_SUM_AND_DIFFERENCE = mk_system(
     [[1, 1, 0], [-1, -1, 0], [1, -1, 0], [-1, 1, 0], [1, 2, 1]], [2, -1, 1, 0, 9], "zzz")
 SCALE_N8 = gen_random_unbounded(GenParams(seed=1, n_vars=8, n_bounded=4, n_unbounded=4))
+# A box on both variables plus two random rows; row 2 is an equality with
+# row 4.
+BOXED_WITH_ROWS = mk_system(
+    [[1, 0], [-1, 0], [2, -1], [0, 1], [-2, 1], [0, -1], [1, 1]],
+    [3, 1, 1, 4, -1, 0, 5], "qz")
+# The same rows without the box's lower side on x0: x0 >= -1 is still
+# implied by 2 x0 - x1 = 1 and x1 >= 0, but no single row says so.
+BOX_MISSING_ONE_SIDE = mk_system(
+    [[1, 0], [2, -1], [0, 1], [-2, 1], [0, -1], [1, 1]],
+    [3, 1, 4, -1, 0, 5], "qz")
+
+
+def _no_lp(*args):
+    raise RuntimeError("unexpected cone LP")
 
 
 class TestClassify:
@@ -100,6 +117,10 @@ class TestClassify:
     @example(UNIT_BOX)
     @example(PINNED_SUM_AND_DIFFERENCE)
     @example(SCALE_N8)
+    @example(BOXED_WITH_ROWS)
+    @example(BOX_MISSING_ONE_SIDE)
+    @example(mk_system([[0, 1, 0], [1, 0, 0], [0, -1, 0], [1, 1, 1], [-1, 0, 0],
+                        [0, 0, 2], [0, 0, -3]], [2, 2, 0, 3, 1, 4, 0], "zzz"))
     def test_matches_direction_probes(self, sys):
         # The oracle probes every row and every unit vector with two LPs.
         cls = classify(sys)
@@ -108,6 +129,32 @@ class TestClassify:
             i for i, a in enumerate(sys.matrix.rows) if is_direction_bounded(sys, a))
         assert cls.bounded_vars == frozenset(
             j for j, e in enumerate(units) if is_direction_bounded(sys, e))
+
+    def test_boxed_system_makes_no_cone_lp(self, monkeypatch):
+        monkeypatch.setattr(analysis, "optimize", _no_lp)
+        cls = classify(BOXED_WITH_ROWS)
+        assert cls.verdict is Verdict.BOUNDED
+        assert cls.bounded_rows == frozenset(range(7))
+        assert cls.bounded_vars == frozenset({0, 1})
+        assert cls.equalities == (2,)
+
+    def test_missing_box_side_makes_the_cone_lp(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="unexpected cone LP"):
+            with monkeypatch.context() as patched:
+                patched.setattr(analysis, "optimize", _no_lp)
+                classify(BOX_MISSING_ONE_SIDE)
+        cls = classify(BOX_MISSING_ONE_SIDE)
+        assert cls.verdict is Verdict.BOUNDED
+        assert cls.equalities == (1,)
+
+    def test_equalities_are_exact_opposite_pairs(self):
+        # Row 3 is row 0 scaled, not its opposite; row 4 repeats row 0's
+        # hyperplane and has no partner left; rows 1 and 5 pair.
+        sys = mk_system([[1, 1], [1, -1], [-1, -1], [-2, -2], [1, 1], [-1, 1],
+                         [1, 0], [-1, 0], [0, 1], [0, -1]],
+                        [2, 0, -2, -4, 2, 0, 5, 0, 5, 0], "zz")
+        assert classify(sys).equalities == (0, 1)
+        assert classify(band_system([[1, 1]], [10])).equalities == ()
 
     def test_pinned_sum_and_difference(self):
         cls = classify(PINNED_SUM_AND_DIFFERENCE)

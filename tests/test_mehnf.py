@@ -179,6 +179,26 @@ class TestBatchMehnf:
         assert is_mctm(v.matrix, n1, n2)
         assert any(any(row[:n1]) for row in h.rows[r:])
 
+    @given(
+        st.integers(1, 4), st.integers(0, 3), st.integers(1, 3),
+        st.integers(0, 4), st.data(),
+    )
+    @settings(max_examples=60)
+    def test_ride_rows_come_out_times_v(self, m, n1, n2, k, data):
+        # Riding rows never become pivot rows: the normal form, V and the
+        # permutation are those of d alone, and the riders come out as
+        # ride V.
+        n = n1 + n2
+        row = st.lists(small_fractions, min_size=n, max_size=n)
+        d = Matrix(data.draw(st.lists(row, min_size=m, max_size=m)))
+        ride = Matrix(data.draw(st.lists(row, min_size=k, max_size=k))) \
+            if k else Matrix.zeros(0, n)
+        h, v, perm = batch_mehnf(d, n1, ride)
+        alone_h, alone_v, alone_perm = batch_mehnf(d, n1)
+        assert (perm, v.matrix) == (alone_perm, alone_v.matrix)
+        assert h.m == m + k and Matrix(h.rows[:m]) == alone_h
+        assert h.rows[m:] == (ride * v.matrix).rows
+
     # (rows, n1, row_perm, h, v): exact outputs, pinned so that a rewrite
     # of the column kernels cannot change them unnoticed.
     GOLDEN = [

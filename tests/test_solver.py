@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mehsolve.solver as solver
-from mehsolve.analysis import Verdict, classify, split
+from mehsolve.analysis import InfeasibleSystemError, Verdict, classify, split
+from mehsolve.bruteforce import brute_force_solve
 from mehsolve.linalg import Matrix
 from mehsolve.mehnf import batch_mehnf
 from mehsolve.model import (
@@ -42,6 +44,27 @@ def band(kinds="zz", extra_rows=(), extra_bounds=()):
     rows = [[3, -3], [-3, 3]] + list(extra_rows)
     bounds = [2, -1] + list(extra_bounds)
     return mk_system(rows, bounds, kinds)
+
+
+def boxed_equality(row, rhs, dropped=False):
+    """row . x = rhs, written as a pair of rows, in the box [0, 4]^2.
+
+    With dropped, a constant row 0 <= 1 comes first, which normalize drops.
+    """
+    rows = [row, [-a for a in row], [1, 0], [-1, 0], [0, 1], [0, -1]]
+    bounds = [rhs, -rhs, 4, 0, 4, 0]
+    if dropped:
+        rows, bounds = [[0, 0]] + rows, [1] + bounds
+    return mk_system(rows, bounds, "zz")
+
+
+def assert_witness_holds(sys, res):
+    if isinstance(res, Sat):
+        assert check_model(sys, res.model)
+    elif isinstance(res.certificate, FarkasCertificate):
+        assert check_certificate(sys, res.certificate)
+    else:
+        assert check_refutation(sys, res.certificate)
 
 
 class TestPropagateBounds:
@@ -355,6 +378,39 @@ class TestSolve:
         assert sum(1 for system in checked if system is sys) == 1
         assert check_model(sys, res.model)
 
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_bounded_equality_unsat_is_checked_once_on_the_input(self, monkeypatch, dropped):
+        # 3x - 3y = 1: one branch on the transformed variable refutes it.
+        # The refutation is checked over A V by branch-and-bound, over the
+        # normalized system by convert_certificate, and, past a dropped
+        # row, pulled back and checked once more against the input.
+        checked = self._count_refutation_checks(monkeypatch)
+        sys = boxed_equality([3, -3], 1, dropped)
+        res = solve(sys)
+        assert isinstance(res, Unsat)
+        assert res.stats.classification == "bounded" and res.stats.nodes == 3
+        assert sum(1 for system in checked if system is sys) == 1
+        assert checked[-1] is sys and len(checked) == (3 if dropped else 2)
+        assert check_refutation(sys, res.certificate)
+
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_bounded_equality_sat_is_checked_once_on_the_input(self, monkeypatch, dropped):
+        # x + 2y = 3: branch-and-bound checks its model over A V, and the
+        # model V y is checked once, against the input.
+        checked = []
+
+        def counting(system, model):
+            checked.append(system)
+            return check_model(system, model)
+
+        monkeypatch.setattr(solver, "check_model", counting)
+        sys = boxed_equality([1, 2], 3, dropped)
+        res = solve(sys)
+        assert isinstance(res, Sat)
+        assert res.stats.classification == "bounded"
+        assert len(checked) == 2 and checked[-1] is sys and checked[0] is not sys
+        assert check_model(sys, res.model)
+
     def test_wrong_extended_model_is_caught(self, monkeypatch):
         monkeypatch.setattr(solver, "mixed_extension",
                             lambda sp, v, h, t: Model([Fraction(0), Fraction(0)]))
@@ -375,12 +431,7 @@ class TestSolve:
     def test_random_small_systems(self, sys):
         res = solve(sys)
         assert not isinstance(res, Budget)
-        if isinstance(res, Sat):
-            assert check_model(sys, res.model)
-        elif isinstance(res.certificate, FarkasCertificate):
-            assert check_certificate(sys, res.certificate)
-        else:
-            assert check_refutation(sys, res.certificate)
+        assert_witness_holds(sys, res)
 
     @given(systems(max_m=4, max_n=3))
     @settings(max_examples=40)
@@ -391,6 +442,98 @@ class TestSolve:
             return
         on = solve(sys)
         assert type(on) is type(off)
+
+
+@st.composite
+def boxed_equality_systems(draw):
+    """A box over 1 to 4 mixed variables, 0 to 2 random rows and 1 or 2
+    equality pairs, rows shuffled; returns (system, box).
+
+    Rows are planted around an integer point of the box; the equalities'
+    right-hand sides are moved off it by 0 or by a fraction, so that both
+    Sat and Unsat (often by a gcd argument) come up.
+    """
+    n = draw(st.integers(1, 4))
+    n1 = draw(st.integers(0, min(2, n - 1)))
+    lo = [draw(st.integers(-2, 1)) for _ in range(n)]
+    hi = [a + draw(st.integers(0, 3)) for a in lo]
+    point = [draw(st.integers(a, b)) for a, b in zip(lo, hi)]
+    coeffs = st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(any)
+    rows, bounds = [], []
+    for j in range(n):
+        unit = [int(k == j) for k in range(n)]
+        rows += [unit, [-a for a in unit]]
+        bounds += [hi[j], -lo[j]]
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(coeffs)
+        rows.append(a)
+        bounds.append(sum(c * x for c, x in zip(a, point)) + draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(coeffs)
+        rhs = sum(c * x for c, x in zip(a, point)) + draw(st.sampled_from(
+            [Fraction(0), Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]))
+        rows += [a, [-c for c in a]]
+        bounds += [rhs, -rhs]
+    order = draw(st.permutations(range(len(rows))))
+    sys = mk_system([rows[i] for i in order], [bounds[i] for i in order],
+                    "q" * n1 + "z" * (n - n1))
+    box = VarBounds({j: Fraction(lo[j]) for j in range(n1, n)},
+                    {j: Fraction(hi[j]) for j in range(n1, n)})
+    return sys, box
+
+
+class TestBoundedEqualities:
+    """Bounded systems with explicit equalities are searched in y = V^-1 x."""
+
+    @given(boxed_equality_systems())
+    @settings(max_examples=80)
+    def test_matches_grid_enumeration(self, case):
+        sys, box = case
+        res = solve(sys)
+        oracle_sat, _ = brute_force_solve(sys, box)
+        assert isinstance(res, Sat) == oracle_sat
+        assert_witness_holds(sys, res)
+        if res.stats.classification is not None:
+            assert res.stats.classification == "bounded"
+            assert res.stats.transform_seconds > 0
+
+    def test_boxed_systems_without_equalities_search_as_before(self):
+        # No equality pair: the same branch-and-bound run on the same rows.
+        rng = random.Random(20261018)
+        compared = 0
+        for _ in range(100):
+            sys = corpus.bounded_instance(rng)
+            try:
+                if classify(sys).equalities:
+                    continue
+            except InfeasibleSystemError:
+                continue
+            res, plain = solve(sys), branch_and_bound(sys)
+            assert type(res) is type(plain)
+            assert res.stats.nodes == plain.stats.nodes
+            assert res.stats.transform_seconds == 0
+            if isinstance(res, Sat):
+                assert res.model == plain.model
+            else:
+                assert res.certificate == plain.certificate
+            compared += 1
+        assert compared >= 40
+
+    def test_gcd_equality_is_refuted_by_one_branch(self):
+        # The Unsat quarter of the bounded benchmark in miniature: the
+        # equality's coefficients are multiples of 3, its right-hand side
+        # is not.  Plain branch-and-bound needs a large tree here.
+        rows = [[3, -3, 3], [-3, 3, -3]]
+        bounds = [4, -4]
+        for j in range(3):
+            unit = [int(k == j) for k in range(3)]
+            rows += [unit, [-a for a in unit]]
+            bounds += [4, 0]
+        sys = mk_system(rows, bounds, "zzz")
+        res = solve(sys)
+        assert isinstance(res, Unsat) and res.stats.nodes == 3
+        assert check_refutation(sys, res.certificate)
+        assert branch_and_bound(sys).stats.nodes > 3
 
 
 class TestIdentityTransformConversion:

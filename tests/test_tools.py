@@ -110,6 +110,19 @@ class TestCli:
         assert code == 0
         assert "a = 3" in out
 
+    def test_solve_stats_time_the_bounded_transform(self, tmp_path, capsys):
+        # A boxed gcd-infeasible equality takes the bounded route through
+        # the MEHNF: one branch, and the transform time is reported.
+        f = tmp_path / "gcd.smt2"
+        f.write_text("(declare-fun x () Int)(declare-fun y () Int)"
+                     "(assert (= (- (* 3 x) (* 3 y)) 1))"
+                     "(assert (<= 0 x 4))(assert (<= 0 y 4))")
+        assert main(["solve", "--stats", str(f)]) == 1
+        stats = dict(line[2:].split(": ") for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("; "))
+        assert stats["classification"] == "bounded" and stats["nodes"] == "3"
+        assert float(stats["transform-seconds"]) > 0
+
     def test_solve_budget_exit_code(self, tmp_path, capsys):
         f = tmp_path / "band.smt2"
         f.write_text(BAND)
@@ -234,3 +247,17 @@ def test_benchmark_bindings_exist():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.TARGETS
                if attr not in vars(owner)]
     assert not missing
+
+
+def test_identity_dump_prints_one_line_per_instance():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [_pysys.executable, str(root / "scripts" / "identity_dump.py"),
+         "--workload", "bounded_planted", "--seeds", "3", "--digest"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert len(lines) == 256
+    for workload, seed, name, verdict, classification, nodes, digest in lines:
+        assert (workload, seed, classification) == ("bounded_planted", "3", "bounded")
+        assert name.rsplit("_", 1)[1] == verdict and int(nodes) >= 1 and len(digest) == 64
