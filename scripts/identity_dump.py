@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Print one line per benchmark instance: verdict, classification, nodes, witness.
+"""Print one line per benchmark instance: verdict, classification, work, witness.
 
     python3 scripts/identity_dump.py --seeds 1 2 3 > after.txt
     python3 scripts/identity_dump.py --workload suite_mix --seeds 1 --digest
 
 Generates each workload of ``perfbench/workloads.py`` at the given seeds,
 solves every instance with this checkout's sources and prints
-``workload seed name verdict classification nodes witness``, where the
-witness is the ``repr`` of the model, certificate or refutation (with
-``--digest``, the SHA-256 of that ``repr``).  Copy the script into another
-checkout and diff the two outputs: identical output means identical
-verdicts and witnesses.
+``workload seed name verdict classification nodes pivots witness``, where
+``pivots`` is the summed ``SimplexInstance.pivots`` of every tableau the
+solve built and the witness is the ``repr`` of the model, certificate or
+refutation (with ``--digest``, the SHA-256 of that ``repr``).  Tableaux are
+collected by wrapping the ``instance_for`` bindings the pipeline calls, as
+``perfbench/tracing.py`` does.  Copy the script into another checkout and
+diff the two outputs: identical output means identical verdicts, witnesses
+and pivot counts.
 """
 
 import argparse
@@ -21,12 +24,28 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402  (puts the checkout's src/ on the path)
-from mehsolve import smtlib, solver  # noqa: E402
+from mehsolve import simplex, smtlib, solver  # noqa: E402
 from mehsolve.model import Budget, Sat  # noqa: E402
 
 
-def dump_line(workload: str, seed: int, inst, digest: bool) -> str:
+def collect_tableaux() -> list:
+    """Wrap every ``instance_for`` binding; return the list it appends to."""
+    tableaux = []
+    build = simplex.instance_for
+
+    def collecting(sys_):
+        inst = build(sys_)
+        tableaux.append(inst)
+        return inst
+
+    simplex.instance_for = solver.instance_for = collecting
+    return tableaux
+
+
+def dump_line(workload: str, seed: int, inst, digest: bool, tableaux: list) -> str:
+    tableaux.clear()
     res = solver.solve(smtlib.parse(inst.text))
+    pivots = sum(t.pivots for t in tableaux)
     if isinstance(res, Budget):
         verdict, witness = "budget", repr(res.stats.budget_reason)
     elif isinstance(res, Sat):
@@ -36,7 +55,7 @@ def dump_line(workload: str, seed: int, inst, digest: bool) -> str:
     if digest:
         witness = hashlib.sha256(witness.encode()).hexdigest()
     return (f"{workload} {seed} {inst.name} {verdict} {res.stats.classification} "
-            f"{res.stats.nodes} {witness}")
+            f"{res.stats.nodes} {pivots} {witness}")
 
 
 def main() -> int:
@@ -47,10 +66,11 @@ def main() -> int:
     ap.add_argument("--digest", action="store_true",
                     help="print the SHA-256 of each witness repr instead of the repr")
     args = ap.parse_args()
+    tableaux = collect_tableaux()
     for name in args.workload or workloads.GENERATORS:
         for seed in args.seeds:
             for inst in workloads.GENERATORS[name](seed).instances():
-                print(dump_line(name, seed, inst, args.digest), flush=True)
+                print(dump_line(name, seed, inst, args.digest, tableaux), flush=True)
     return 0
 
 

@@ -7,6 +7,16 @@ defining equation joins the tableau and whose upper bound carries the
 row's constant.  Feasibility repair pivots with Bland's rule, so every
 call terminates; all arithmetic is exact.
 
+The tableau is fraction-free (integer-preserving elimination): each row is
+a dict of integer coefficients over one positive integer denominator,
+reduced to gcd 1 after every pivot, and ``optimize_max`` keeps its
+reduced-cost row in the same form through its pivots.  Bounds and the
+assignment are ``Fraction``s, and every value handed out (assignments,
+conflict and dual multipliers, rays) is a ``Fraction`` equal to the
+rational tableau entry, so Bland's rule sees the same values as on a
+rational tableau.  The certificate checks in ``model`` stay on
+``Fraction`` and do not use the tableau's arithmetic.
+
 Conflicts and optimal duals are reported as lists of ``(BoundSource,
 multiplier)`` atoms.  For plain constraint systems the module-level
 wrappers ``check_feasible`` and ``optimize_each`` (with ``optimize``, its
@@ -94,6 +104,14 @@ class SimplexInstance:
     Rows are activated with ``push_row`` and deactivated in LIFO order
     with ``pop_row``; feasibility and optimization answers always reflect
     exactly the active rows.
+
+    The tableau is fraction-free: basic variable ``bv`` is defined by
+    ``_den[bv] * x_bv = sum(c * x_k for k, c in _tab[bv].items())`` over
+    non-basic ``x_k``, with integer ``c``, no stored zero, a positive
+    integer ``_den[bv]`` and ``gcd(_den[bv], *_tab[bv].values()) == 1``.
+    Pivots update rows by integer cross-multiplication.  Bounds, the
+    assignment and every value handed out stay ``Fraction``s, equal to the
+    rational tableau entries ``c / _den[bv]``.
     """
 
     def __init__(self, nvars: int):
@@ -101,7 +119,8 @@ class SimplexInstance:
         self._lo: list[Optional[tuple[Fraction, BoundSource]]] = [None] * nvars
         self._up: list[Optional[tuple[Fraction, BoundSource]]] = [None] * nvars
         self._beta: list[Fraction] = [_ZERO] * nvars
-        self._tab: dict[int, dict[int, Fraction]] = {}
+        self._tab: dict[int, dict[int, int]] = {}
+        self._den: dict[int, int] = {}
         self._trail: list[tuple] = []
         self._dead: list[BoundSource] = []
         self.pivots = 0
@@ -126,7 +145,7 @@ class SimplexInstance:
             else:
                 self._set_bound(j, "lo", b / c, BoundSource(kind, index, -c))
             return
-        s = self._alloc_slack(dict(support))
+        s = self._alloc_slack(support)
         self._up[s] = (b, BoundSource(kind, index))
         self._trail.append(("slack", s))
 
@@ -165,32 +184,45 @@ class SimplexInstance:
         if better:
             store[var] = (value, src)
 
-    def _alloc_slack(self, coeffs: dict[int, Fraction]) -> int:
+    def _alloc_slack(self, support: list[tuple[int, Fraction]]) -> int:
         s = len(self._beta)
         self._lo.append(None)
         self._up.append(None)
-        expr: dict[int, Fraction] = {}
-        val = _ZERO
-        for j, a in coeffs.items():
-            val += a * self._beta[j]
-            if j in self._tab:
-                for k, c in self._tab[j].items():
-                    acc = expr.get(k, _ZERO) + a * c
-                    if acc:
-                        expr[k] = acc
-                    elif k in expr:
-                        del expr[k]
-            else:
-                acc = expr.get(j, _ZERO) + a
-                if acc:
-                    expr[j] = acc
-                elif j in expr:
-                    del expr[j]
+        den, expr = self._combine(support)
         if not expr:
             raise SimplexInternalError("slack for a non-zero row reduced to nothing")
-        self._beta.append(val)
+        beta = self._beta
+        beta.append(sum((a * beta[j] for j, a in support if beta[j]), _ZERO))
         self._tab[s] = expr
+        self._den[s] = den
         return s
+
+    def _combine(self, terms) -> tuple[int, dict[int, int]]:
+        """(den, row) of sum(a * x_j for j, a in terms) over the non-basics."""
+        den = 1
+        expr: dict[int, int] = {}
+        for j, a in terms:
+            if not a:
+                continue
+            num, q = a.numerator, a.denominator
+            row = self._tab.get(j)
+            if row is None:
+                row = {j: 1}
+            else:
+                q *= self._den[j]
+            if den % q:
+                scale = q // math.gcd(den, q)
+                for k in expr:
+                    expr[k] *= scale
+                den *= scale
+            num *= den // q
+            for k, c in row.items():
+                acc = expr.get(k, 0) + num * c
+                if acc:
+                    expr[k] = acc
+                elif k in expr:
+                    del expr[k]
+        return _reduce(den, expr), expr
 
     def _update(self, var: int, value: Fraction) -> None:
         delta = value - self._beta[var]
@@ -200,30 +232,32 @@ class SimplexInstance:
         for bv, row in self._tab.items():
             c = row.get(var)
             if c:
-                self._beta[bv] += c * delta
+                self._beta[bv] += _scaled(delta, c, self._den[bv])
 
     def _pivot(self, bv: int, j: int) -> None:
         row = self._tab.pop(bv)
-        c = row.pop(j)
-        inv = _ONE / c
-        new = {bv: inv}
-        for k, v in row.items():
-            new[k] = -v * inv
+        den = self._den.pop(bv)
+        p = row.pop(j)
+        # x_j = (den * x_bv - sum(row[k] * x_k)) / p.  The new row has the
+        # old row's entries up to sign, so its gcd stays 1.
+        if p > 0:
+            new = {bv: den}
+            for k, v in row.items():
+                new[k] = -v
+        else:
+            p = -p
+            new = {bv: -den}
+            new.update(row)
         for other, orow in self._tab.items():
             f = orow.pop(j, None)
             if f:
-                for k, v in new.items():
-                    acc = orow.get(k, _ZERO) + f * v
-                    if acc:
-                        orow[k] = acc
-                    elif k in orow:
-                        del orow[k]
+                self._den[other] = _eliminate(orow, self._den[other], f, new, p)
         self._tab[j] = new
+        self._den[j] = p
         self.pivots += 1
 
     def _pivot_and_update(self, bv: int, j: int, target: Fraction) -> None:
-        c = self._tab[bv][j]
-        theta = (target - self._beta[bv]) / c
+        theta = _scaled(target - self._beta[bv], self._den[bv], self._tab[bv][j])
         self._beta[bv] = target
         self._beta[j] += theta
         if theta:
@@ -231,7 +265,7 @@ class SimplexInstance:
                 if other != bv:
                     f = orow.get(j)
                     if f:
-                        self._beta[other] += f * theta
+                        self._beta[other] += _scaled(theta, f, self._den[other])
         self._pivot(bv, j)
 
     def _can_increase(self, j: int) -> bool:
@@ -288,12 +322,13 @@ class SimplexInstance:
                      or (c < 0 and self._can_decrease(j))),
                     default=None)
                 if enter is None:
+                    den = self._den[bv]
                     atoms = [(self._lo[bv][1], _ONE)]
                     for j, c in row.items():
                         if c > 0:
-                            atoms.append((self._up[j][1], c))
+                            atoms.append((self._up[j][1], Fraction(c, den)))
                         else:
-                            atoms.append((self._lo[j][1], -c))
+                            atoms.append((self._lo[j][1], Fraction(-c, den)))
                     return atoms
                 self._pivot_and_update(bv, enter, self._lo[bv][0])
             else:
@@ -303,12 +338,13 @@ class SimplexInstance:
                      or (c > 0 and self._can_decrease(j))),
                     default=None)
                 if enter is None:
+                    den = self._den[bv]
                     atoms = [(self._up[bv][1], _ONE)]
                     for j, c in row.items():
                         if c > 0:
-                            atoms.append((self._lo[j][1], c))
+                            atoms.append((self._lo[j][1], Fraction(c, den)))
                         else:
-                            atoms.append((self._up[j][1], -c))
+                            atoms.append((self._up[j][1], Fraction(-c, den)))
                     return atoms
                 self._pivot_and_update(bv, enter, self._up[bv][0])
 
@@ -322,28 +358,14 @@ class SimplexInstance:
 
         Returns ("infeasible", atoms), ("unbounded", ray_over_all_vars) or
         ("optimal", value, dual_atoms).  Must be re-run after stack changes.
+        The reduced-cost row is built once, in the tableau's integer form,
+        and updated by the same elimination as the rows at every pivot.
         """
         conflict = self.check()
         if conflict is not None:
             return ("infeasible", conflict)
+        dden, d = self._combine(h.items())
         while True:
-            d: dict[int, Fraction] = {}
-            for p, hp in h.items():
-                if not hp:
-                    continue
-                if p in self._tab:
-                    for k, c in self._tab[p].items():
-                        acc = d.get(k, _ZERO) + hp * c
-                        if acc:
-                            d[k] = acc
-                        elif k in d:
-                            del d[k]
-                else:
-                    acc = d.get(p, _ZERO) + hp
-                    if acc:
-                        d[p] = acc
-                    elif p in d:
-                        del d[p]
             enter = None
             for j in sorted(d):
                 if d[j] > 0 and self._can_increase(j):
@@ -357,9 +379,9 @@ class SimplexInstance:
                 atoms: list[Atom] = []
                 for j, dj in d.items():
                     if dj > 0:
-                        atoms.append((self._up[j][1], dj))
+                        atoms.append((self._up[j][1], Fraction(dj, dden)))
                     else:
-                        atoms.append((self._lo[j][1], -dj))
+                        atoms.append((self._lo[j][1], Fraction(-dj, dden)))
                 return ("optimal", value, atoms)
             j, sgn = enter
             own = None
@@ -374,13 +396,12 @@ class SimplexInstance:
                     continue
                 eff = c * sgn
                 if eff > 0 and self._up[bv] is not None:
-                    t = (self._up[bv][0] - self._beta[bv]) / eff
                     tgt = self._up[bv][0]
                 elif eff < 0 and self._lo[bv] is not None:
-                    t = (self._lo[bv][0] - self._beta[bv]) / eff
                     tgt = self._lo[bv][0]
                 else:
                     continue
+                t = _scaled(tgt - self._beta[bv], self._den[bv], eff)
                 if best_t is None or t < best_t:
                     best_t, best_bv, best_target = t, bv, tgt
             if own is None and best_t is None:
@@ -388,12 +409,52 @@ class SimplexInstance:
                 for bv, row in self._tab.items():
                     c = row.get(j)
                     if c:
-                        ray[bv] = c * sgn
+                        ray[bv] = Fraction(c * sgn, self._den[bv])
                 return ("unbounded", ray)
             if best_t is None or (own is not None and own <= best_t):
                 self._update(j, self._beta[j] + sgn * own)
             else:
                 self._pivot_and_update(best_bv, j, best_target)
+                dden = _eliminate(d, dden, d.pop(j), self._tab[j], self._den[j])
+
+
+def _scaled(x: Fraction, num: int, den: int) -> Fraction:
+    """x * num / den for integers num and den != 0."""
+    return Fraction(x.numerator * num, x.denominator * den)
+
+
+def _reduce(den: int, row: dict[int, int]) -> int:
+    """Divide den and row in place by their gcd; return the new den."""
+    g = math.gcd(den, *row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
+        den //= g
+    return den
+
+
+def _eliminate(row: dict[int, int], den: int, f: int, new: dict[int, int], p: int) -> int:
+    """Eliminate x_j from den * x = row + f * x_j, where p * x_j = new.
+
+    ``row`` no longer holds x_j and is updated in place by integer
+    cross-multiplication: row * (p / g) + new * (f / g) over den * p / g,
+    with g = gcd(f, p), then reduced to gcd 1.  Returns the new den.
+    """
+    g = math.gcd(f, p)
+    if g != 1:
+        f //= g
+        p //= g
+    if p != 1:
+        for k in row:
+            row[k] *= p
+        den *= p
+    for k, v in new.items():
+        acc = row.get(k, 0) + f * v
+        if acc:
+            row[k] = acc
+        elif k in row:
+            del row[k]
+    return _reduce(den, row)
 
 
 # -- system-level wrappers ------------------------------------------------

@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import Matrix
 from .model import ConstraintSystem, VarInfo, VarKind
@@ -40,41 +40,29 @@ class UnsupportedConstructError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     text: str
     line: int
     col: int
 
 
+# Leading whitespace, then a parenthesis, the start of a comment or a
+# maximal run of characters that are neither whitespace nor "();".  For str
+# patterns ``\s`` is exactly the characters for which ``str.isspace`` holds.
+_TOKEN = re.compile(r"(\s*)([()]|;|[^\s();]+)")
+
+
 def _tokenize(text: str) -> list[Tok]:
+    """Tokens with 1-based line and column; only a line feed starts a line."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            toks.append(Tok(text[start:i], line, start_col))
+    for line, chars in enumerate(text.split("\n"), 1):
+        col = 1
+        for space, tok in _TOKEN.findall(chars):
+            if tok == ";":
+                break
+            col += len(space)
+            toks.append(Tok(tok, line, col))
+            col += len(tok)
     return toks
 
 

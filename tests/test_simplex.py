@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mehsolve.simplex as simplex
+from mehsolve.analysis import classify, split
+from mehsolve.generators import GenParams, gen_random_unbounded
 from mehsolve.linalg import Matrix
 from mehsolve.model import check_certificate
+from mehsolve.solver import SolveStats, Unsat, branch_and_bound
 from mehsolve.simplex import (
     EmptyStackError,
     Feasible,
@@ -216,3 +220,90 @@ class TestPushPop:
             inst.pop_row()
             expected = verdicts[i - 1] if i else True
             assert (inst.check() is None) == expected
+
+
+def assert_tableau_invariants(inst):
+    """Every row: integers over a positive denominator, gcd 1, no zero, holds at beta."""
+    beta = inst._beta
+    assert inst._tab.keys() == inst._den.keys()
+    for bv, row in inst._tab.items():
+        den = inst._den[bv]
+        assert type(den) is int and den > 0
+        assert all(type(c) is int and c for c in row.values())
+        assert math.gcd(den, *row.values()) == 1
+        assert not inst._tab.keys() & row.keys()
+        assert beta[bv] * den == sum(c * beta[k] for k, c in row.items())
+
+
+class TestTableauInvariants:
+    @given(systems(max_m=6, max_n=4),
+           st.lists(st.tuples(st.sampled_from(["push", "bound", "pop", "check", "optimize"]),
+                              st.lists(st.integers(-3, 3), min_size=4, max_size=4)),
+                    max_size=16))
+    def test_rows_stay_reduced_and_hold(self, sys, ops):
+        # Every row of sys is pushed first, so the tableau has slack rows
+        # for the interleaved pushes, pops, checks and optimizations to
+        # pivot on.
+        inst = SimplexInstance(sys.n)
+        ops = [("push", None)] * sys.m + [("check", None)] + ops
+        pushed = 0
+        for op, vec in ops:
+            if op == "push":
+                i = pushed % sys.m
+                inst.push_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
+                pushed += 1
+            elif op == "bound":
+                inst.push_bound(abs(vec[0]) % sys.n, "up" if vec[1] >= 0 else "lo",
+                                Fraction(vec[2], 1 + abs(vec[3])), "branch", 0)
+                pushed += 1
+            elif op == "pop":
+                if pushed:
+                    inst.pop_row()
+                    pushed -= 1
+            elif op == "check":
+                inst.check()
+            else:
+                h = {j: Fraction(c) for j, c in enumerate(vec[: sys.n]) if c}
+                if h:
+                    inst.optimize_max(h)
+            assert_tableau_invariants(inst)
+
+
+def _lp_pivots_of_classify_and_split(monkeypatch, n):
+    sys = gen_random_unbounded(GenParams(seed=1, n_vars=n, n_bounded=n // 2,
+                                         n_unbounded=n // 2))
+    built = []
+    real = simplex.instance_for
+    monkeypatch.setattr(simplex, "instance_for", lambda s: built.append(real(s)) or built[-1])
+    split(sys, classify(sys))
+    return sum(t.pivots for t in built)
+
+
+def _unsat_box():
+    """Five integers in [0, 4] on a band 3(x0 - x1 + x2 - x3 + x4) = 7."""
+    band = [3, -3, 3, -3, 3]
+    rows, bounds = [band, [-c for c in band], [1, 2, 0, -1, 3]], [7, -7, 12]
+    for j in range(5):
+        unit = [0] * 5
+        unit[j] = 1
+        rows += [unit, [-c for c in unit]]
+        bounds += [4, 0]
+    return mk_system(rows, bounds, "zzzzz")
+
+
+class TestGoldenPivots:
+    """Pivot counts recorded on the rational tableau the integer one replaced.
+
+    Bland's rule picks every entering and leaving variable by sign and by
+    exact ratio comparisons; any change in the values it sees, or in the
+    order it sees them, changes these totals.
+    """
+
+    @pytest.mark.parametrize("n, pivots", [(8, 29), (12, 44)])
+    def test_classify_and_split(self, monkeypatch, n, pivots):
+        assert _lp_pivots_of_classify_and_split(monkeypatch, n) == pivots
+
+    def test_branch_and_bound_on_an_unsat_box(self):
+        stats = SolveStats()
+        assert isinstance(branch_and_bound(_unsat_box(), stats=stats), Unsat)
+        assert (stats.nodes, stats.lp_pivots) == (1047, 817)

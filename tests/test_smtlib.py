@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mehsolve.model import ConstraintSystem, VarKind
-from mehsolve.smtlib import ParseError, UnsupportedConstructError, emit, parse
+from mehsolve.smtlib import ParseError, Tok, UnsupportedConstructError, _tokenize, emit, parse
 
 from helpers import nested_sum, systems
 
@@ -158,6 +158,63 @@ def test_fuzz_parse_yields_system_or_parse_error(preamble, body):
     except ParseError:
         return
     assert isinstance(result, ConstraintSystem)
+
+
+def _reference_tokenize(text):
+    """The character-at-a-time tokenizer that the regex one replaced."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            toks.append(Tok(ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and not text[i].isspace() and text[i] not in "();":
+                i += 1
+                col += 1
+            toks.append(Tok(text[start:i], line, start_col))
+    return toks
+
+
+SEPARATORS = [" ", "\n", "\t", "\r\n", "\x0c", "\u00a0", "\u2028", "\x1c", ";c\n", ";"]
+
+
+class TestTokenize:
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "\tx", "(a\r\nb)", "a\x0cb", "a\u00a0b\n c", "x ; comment at eof",
+        "(assert x) ; note", "a;b", "a(b", "(x)y;z\n(w", ";\n;x\ny", "\u2028(x\u3000y)",
+    ])
+    def test_examples_match_reference(self, text):
+        assert _tokenize(text) == _reference_tokenize(text)
+
+    @given(st.lists(st.one_of(commands, st.sampled_from(SEPARATORS)), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_matches_reference(self, parts):
+        text = "".join(parts)
+        assert _tokenize(text) == _reference_tokenize(text)
+
+    def test_every_code_point_splits_as_str_split(self):
+        # str.split() splits on exactly the characters str.isspace() holds
+        # for, as the reference loop does; interleaving "x" makes every
+        # code point a separator or a word character of its own.
+        text = "x".join(chr(c) for c in range(0x110000) if chr(c) not in "();")
+        assert [t.text for t in _tokenize(text)] == text.split()
 
 
 class TestEmit:

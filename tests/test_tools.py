@@ -258,6 +258,7 @@ def test_identity_dump_prints_one_line_per_instance():
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
     assert len(lines) == 256
-    for workload, seed, name, verdict, classification, nodes, digest in lines:
+    for workload, seed, name, verdict, classification, nodes, pivots, digest in lines:
         assert (workload, seed, classification) == ("bounded_planted", "3", "bounded")
         assert name.rsplit("_", 1)[1] == verdict and int(nodes) >= 1 and len(digest) == 64
+        assert int(pivots) >= 0
