@@ -9,6 +9,8 @@ rows move on top (a row permutation commutes with column steps); and
 the integer columns in place, never adding into a rational column, so v
 stays a mixed column transformation matrix.  Further rows can ride along
 the same column steps; they come out multiplied by v, with no product.
+Both transformed routes of ``solver.solve`` use this: the whole system
+rides (A V) on the bounded one, the unbounded part (U V) on the other.
 """
 
 from __future__ import annotations

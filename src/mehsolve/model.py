@@ -126,6 +126,10 @@ class FarkasCertificate:
 
 @dataclass
 class SolveStats:
+    """What one solve did.  ``nodes`` and ``lp_pivots`` count the
+    branch-and-bound search alone, not the LPs of classify and split;
+    ``transform_seconds`` times ``batch_mehnf``, riding rows included."""
+
     nodes: int = 0
     lp_pivots: int = 0
     classification: Optional[str] = None

@@ -1,16 +1,14 @@
 """Branch-and-bound pipeline over the boundedness-driven transformations.
 
 ``solve`` normalizes, classifies (which first checks rational
-feasibility), and then dispatches: bounded systems go to branch-and-bound,
-absolutely unbounded systems to the unit cube test, and partially
-unbounded systems through the split / Mixed-Echelon-Hermite route, whose
-results are mapped back to the original system (``mixed_extension`` for
-models, ``convert_certificate`` for refutations).  A bounded system with
-explicit equalities is searched in the variables y = V^-1 x of the
-equalities' Mixed-Echelon-Hermite transform, where an equality whose
-coefficients share a factor that its right-hand side lacks is refuted by
-one branch; its models map back as x = V y through ``mixed_extension``
-and its refutations through ``convert_certificate``.
+feasibility), and then dispatches: bounded systems without explicit
+equalities go to branch-and-bound, absolutely unbounded systems to the
+unit cube test, and the rest through one Mixed-Echelon-Hermite route,
+which searches in y = V^-1 x and maps results back (``mixed_extension``
+for models, x = V y; ``convert_certificate`` for refutations, via V^-1).
+A bounded system transforms its equality rows, with the whole system
+riding along the column steps as A V; a partially unbounded one the
+double-bounded part of its split, with the unbounded part riding as U V.
 
 Unsatisfiability of a mixed system that is rationally feasible cannot be
 witnessed by a single Farkas certificate; branch-and-bound therefore
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import InfeasibleSystemError, SplitSystem, Verdict, classify, split
+from .analysis import InfeasibleSystemError, Verdict, classify, split
 from .linalg import Matrix, TransformMatrix, is_lower_triangular_with_gaps, piv
 from .mehnf import batch_mehnf
 from .model import (
@@ -414,35 +412,32 @@ def unit_cube_test(sys: ConstraintSystem) -> Optional[Model]:
 
 
 def mixed_extension(
-    sp: Optional[SplitSystem],
     v: TransformMatrix,
     h: Matrix,
     t: Model,
+    unbounded: Optional[ConstraintSystem] = None,
 ) -> Model:
     """Extend a model of the transformed bounded part to the full system.
 
-    Columns with non-zero entries in h are fixed by t; the unbounded part
-    is rewritten over the remaining (gap) columns and solved with the unit
-    cube test, which cannot fail there because every direction of the
-    residual system is unbounded.  Returns V t' in original coordinates.
-    Without sp (the bounded route) there is no unbounded part, and the
-    result is V t.
+    h holds the top rows of the normal form and ``unbounded`` the residual
+    system U V y <= b_U, whose rows rode along the column steps of
+    ``batch_mehnf``.  Columns with non-zero entries in h are fixed by t;
+    the residual system is restricted to the remaining (gap) columns and
+    solved with the unit cube test, which cannot fail there because every
+    direction of it is unbounded.  Returns V t' in original coordinates.
+    Without ``unbounded`` (the bounded route) the result is V t.
     """
-    if sp is None:
-        return Model(v.apply(t.values))
-    n = v.n
-    fixed = [j for j in range(n) if any(row[j] for row in h.rows)]
-    free = [j for j in range(n) if j not in set(fixed)]
-    unb = sp.unbounded
     tprime = list(t.values)
-    if unb.m and free:
-        av = unb.matrix * v.matrix
+    fixed = free = []
+    if unbounded is not None and unbounded.m:
+        fixed = [j for j in range(v.n) if any(row[j] for row in h.rows)]
+        free = [j for j in range(v.n) if j not in set(fixed)]
+    if free:
         rows = []
         bounds = []
-        for i in range(unb.m):
-            rhs = unb.bounds[i] - sum(
-                (av.rows[i][j] * t.values[j] for j in fixed), _ZERO)
-            row = [av.rows[i][j] for j in free]
+        for row_uv, b in zip(unbounded.matrix.rows, unbounded.bounds):
+            rhs = b - sum((row_uv[j] * t.values[j] for j in fixed), _ZERO)
+            row = [row_uv[j] for j in free]
             if any(row):
                 rows.append(row)
                 bounds.append(rhs)
@@ -450,7 +445,7 @@ def mixed_extension(
                 raise InternalSoundnessError(
                     "residual system contradicts persistence of unboundedness")
         variables = [
-            VarInfo(f"u{j}", sp.bounded.variables[j].kind) for j in free]
+            VarInfo(f"u{j}", unbounded.variables[j].kind) for j in free]
         residual = ConstraintSystem(
             Matrix(rows) if rows else Matrix.zeros(0, len(free)),
             bounds, variables)
@@ -524,30 +519,18 @@ def _cut_map(v: TransformMatrix):
 
 
 def convert_certificate(
-    sp: Optional[SplitSystem],
-    row_perm: Sequence[int],
+    row_map: Sequence[dict[int, Fraction]],
     v: TransformMatrix,
     certificate,
     target: ConstraintSystem,
 ):
     """Map a refutation of a transformed system back to target.
 
-    With sp, the refutation is of the transformed double-bounded system:
-    multipliers on upper rows map straight onto the original rows; ones on
-    implied lower-bound rows are expanded through the dual multipliers
-    recorded when the split computed the explicit lower bounds.  Without
-    sp (the bounded route, where row_perm is unused), the transformed
-    system is target's rows times v, row for row, and every multiplier
-    stays on its row.  In both cases branch cuts on transformed variables
-    become cuts on the original variables through the inverse
+    Row i of the transformed system is implied by the target rows in
+    ``row_map[i]`` (see ``_pull_back``), and branch cuts on transformed
+    variables become cuts on the original variables through the inverse
     transformation.  The result is re-verified against the target system.
     """
-    if sp is None:
-        row_map = [{i: 1} for i in range(target.m)]
-    else:
-        origin = sp.bounded_origin
-        row_map = [{origin[i]: 1} for i in row_perm] + [
-            {origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w} for i in row_perm]
     converted = _pull_back(certificate, row_map, target.m, _cut_map(v))
     return _verified(target, converted, "converted")
 
@@ -559,16 +542,14 @@ def solve(sys: ConstraintSystem, options: Optional[SolveOptions] = None) -> Solv
     """Decide mixed satisfiability of the system.
 
     Pipeline: normalize, rational feasibility, classification, then either
-    branch-and-bound (bounded), the unit cube test (absolutely unbounded),
-    or split + Mixed-Echelon-Hermite + branch-and-bound with
-    model/certificate conversion (partially unbounded).  A bounded system
-    without explicit equalities is searched as it is; one with them is
-    searched as A V y <= b, where V transforms the equality rows into
-    Mixed-Echelon-Hermite normal form, and its witness is mapped back by
-    ``mixed_extension`` (x = V y) or ``convert_certificate``.
-    ``stats.transform_seconds`` times ``batch_mehnf`` on either route.
-    With transforms disabled, branch-and-bound runs on the raw system
-    under the option limits and may return Budget.
+    branch-and-bound (bounded without explicit equalities), the unit cube
+    test (absolutely unbounded), or the Mixed-Echelon-Hermite route:
+    ``batch_mehnf`` of the equality rows (bounded) or of the split's
+    double-bounded part (partially unbounded), with the remaining rows
+    riding along, then branch-and-bound and model/certificate conversion.
+    ``stats.transform_seconds`` times that ``batch_mehnf`` call, riding
+    rows included.  With transforms disabled, branch-and-bound runs on the
+    raw system under the option limits and may return Budget.
     """
     opts = options or SolveOptions()
     stats = SolveStats()
@@ -611,30 +592,39 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
         # Search in y = V^-1 x, V from the MEHNF of the equality rows; the
         # whole system rides along the column steps and comes out as A V.
         sp = None
-        eq = cls.equalities
-        t0 = time.monotonic()
-        h, v, row_perm = batch_mehnf(
-            Matrix([norm.matrix.rows[i] for i in eq]), norm.n1, norm.matrix)
-        stats.transform_seconds = time.monotonic() - t0
-        tsys = ConstraintSystem(Matrix(h.rows[len(eq):]), norm.bounds, _y_variables(norm))
+        top, ride = Matrix([norm.matrix.rows[i] for i in cls.equalities]), norm
     else:
-        # Partially unbounded: reduce to the double-bounded part and transform.
+        # Partially unbounded: transform the double-bounded part; the
+        # unbounded part rides along and comes out as U V.
         sp = split(norm, cls)
-        t0 = time.monotonic()
-        h, v, row_perm = batch_mehnf(sp.bounded.matrix, norm.n1)
-        stats.transform_seconds = time.monotonic() - t0
+        top, ride = sp.bounded.matrix, sp.unbounded
+    t0 = time.monotonic()
+    h, v, row_perm = batch_mehnf(top, norm.n1, ride.matrix)
+    stats.transform_seconds = time.monotonic() - t0
+    h_top = Matrix(h.rows[:top.m])
+    moved = ConstraintSystem(Matrix(h.rows[top.m:]) if ride.m else Matrix.zeros(0, norm.n),
+                             ride.bounds, _y_variables(norm))
+    if sp is None:
+        tsys, unbounded = moved, None
+        row_map = [{i: 1} for i in range(norm.m)]
+    else:
         upper = [sp.bounded.bounds[i] for i in row_perm]
         lower = [sp.lower[i] for i in row_perm]
-        tsys = transformed_system(norm, h, lower, upper)
+        tsys, unbounded = transformed_system(norm, h_top, lower, upper), moved
+        # Upper rows map straight onto the original rows; implied lower-bound
+        # rows expand through the split's dual multipliers.
+        origin = sp.bounded_origin
+        row_map = [{origin[i]: 1} for i in row_perm] + [
+            {origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w} for i in row_perm]
 
     res = branch_and_bound(tsys, opts, stats, deadline)
     if isinstance(res, Budget):
         return res
     if isinstance(res, Sat):
         # The model in x has been checked nowhere yet.
-        model = mixed_extension(sp, v, h, res.model)
+        model = mixed_extension(v, h_top, res.model, unbounded)
         return _finalize(sys, None, Sat(model, stats))
-    cert = convert_certificate(sp, row_perm, v, res.certificate, norm)
+    cert = convert_certificate(row_map, v, res.certificate, norm)
     return _finalize(sys, kept, Unsat(cert, stats))
 
 

@@ -6,6 +6,7 @@ import random
 from hypothesis import strategies as st
 
 from mehsolve.linalg import Matrix
+from mehsolve.mehnf import batch_mehnf
 from mehsolve.model import ConstraintSystem, VarInfo, VarKind
 
 
@@ -17,6 +18,20 @@ def mk_system(rows, bounds, kinds, names=None):
         names = [f"x{i}" for i in range(len(kinds))]
     variables = [VarInfo(n, k) for n, k in zip(names, kinds)]
     return ConstraintSystem(Matrix(rows), bounds, variables)
+
+
+def transform_split(sys, sp):
+    """The MEHNF of a split's bounded part, its unbounded part riding along.
+
+    Returns (h, v, perm, residual): h holds the normal form of the bounded
+    part and residual is the system U V y <= b_U that ``mixed_extension``
+    takes, made of the riding rows.
+    """
+    h, v, perm = batch_mehnf(sp.bounded.matrix, sys.n1, sp.unbounded.matrix)
+    top = sp.bounded.m
+    moved = Matrix(h.rows[top:]) if sp.unbounded.m else Matrix.zeros(0, sys.n)
+    residual = ConstraintSystem(moved, sp.unbounded.bounds, sys.variables)
+    return Matrix(h.rows[:top]), v, perm, residual
 
 
 small_fractions = st.builds(

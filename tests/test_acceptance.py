@@ -36,6 +36,7 @@ from mehsolve.solver import (
 )
 
 import corpus
+from helpers import transform_split
 
 _SUITE_STARTED = time.monotonic()
 
@@ -176,7 +177,7 @@ def test_criterion_07_reduction_equisatisfiability():
         cls = classify(sys)
         assert cls.verdict is Verdict.PARTIALLY_UNBOUNDED
         sp = split(sys, cls)
-        h, v, perm = batch_mehnf(sp.bounded.matrix, sys.n1)
+        h, v, perm, residual = transform_split(sys, sp)
         lower = [sp.lower[i] for i in perm]
         upper = [sp.bounded.bounds[i] for i in perm]
         tsys = transformed_system(sys, h, lower, upper)
@@ -184,7 +185,7 @@ def test_criterion_07_reduction_equisatisfiability():
         if not isinstance(res, Sat):
             failures += 1
             continue
-        full = mixed_extension(sp, v, h, res.model)
+        full = mixed_extension(v, h, res.model, residual)
         if not check_model(sys, full):
             failures += 1
     _report(7, failures == 0,

@@ -37,7 +37,7 @@ from mehsolve.solver import (
 )
 
 import corpus
-from helpers import mk_system, systems
+from helpers import mk_system, systems, transform_split
 
 
 def band(kinds="zz", extra_rows=(), extra_bounds=()):
@@ -209,24 +209,24 @@ class TestMixedExtension:
         sys = band("qq", [[1, 1]], [10])
         cls = classify(sys)
         sp = split(sys, cls)
-        h, v, perm = batch_mehnf(sp.bounded.matrix, sys.n1)
+        h, v, perm, residual = transform_split(sys, sp)
         upper = [sp.bounded.bounds[i] for i in perm]
         lower = [sp.lower[i] for i in perm]
         tsys = _tsystem(sys, h, lower, upper)
         res = branch_and_bound(tsys)
         assert isinstance(res, Sat)
-        full_model = mixed_extension(sp, v, h, res.model)
+        full_model = mixed_extension(v, h, res.model, residual)
         assert check_model(sys, full_model)
 
     def test_empty_unbounded_part_passes_through(self):
         sys = band("qq")
         cls = classify(sys)
         sp = split(sys, cls)
-        h, v, perm = batch_mehnf(sp.bounded.matrix, sys.n1)
+        h, v, perm, residual = transform_split(sys, sp)
         t = Model([Fraction(1, 2), Fraction(0)])
         if check_model(_tsystem(sys, h, [sp.lower[i] for i in perm],
                                 [sp.bounded.bounds[i] for i in perm]), t):
-            out = mixed_extension(sp, v, h, t)
+            out = mixed_extension(v, h, t, residual)
             assert out.values == v.apply(t.values)
 
     def test_integer_gap_columns(self):
@@ -411,9 +411,30 @@ class TestSolve:
         assert len(checked) == 2 and checked[-1] is sys and checked[0] is not sys
         assert check_model(sys, res.model)
 
+    @pytest.mark.parametrize("sys, expected", [
+        (band("qq", [[1, 1]], [10]), Sat),            # unbounded part rides along
+        (mk_system([[1, -1], [-1, 1]], [0, 0], "zz"), Sat),  # empty unbounded part
+        (mk_system([[2, -2], [-2, 2]], [1, -1], "zz"), Unsat),  # refuted by a cut
+        (boxed_equality([3, -3], 1), Unsat),          # bounded with an equality
+    ])
+    def test_no_dense_matrix_product(self, monkeypatch, sys, expected):
+        # The transformed rows come out of the column steps of batch_mehnf;
+        # no phase multiplies two matrices.
+        def refuse(*args):
+            raise AssertionError("dense matrix product in the pipeline")
+
+        monkeypatch.setattr(Matrix, "__mul__", refuse)
+        res = solve(sys)
+        monkeypatch.undo()
+        assert isinstance(res, expected)
+        if expected is Sat:
+            assert check_model(sys, res.model)
+        else:
+            assert check_refutation(sys, res.certificate)
+
     def test_wrong_extended_model_is_caught(self, monkeypatch):
         monkeypatch.setattr(solver, "mixed_extension",
-                            lambda sp, v, h, t: Model([Fraction(0), Fraction(0)]))
+                            lambda v, h, t, unbounded=None: Model([Fraction(0), Fraction(0)]))
         with pytest.raises(solver.InternalSoundnessError):
             solve(band("qz", [[1, 1]], [10]))
 
