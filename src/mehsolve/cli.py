@@ -8,6 +8,7 @@ error.  The default per-solve time budget comes from MEH_SOLVE_TIMEOUT
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys as _sys
 from fractions import Fraction
@@ -225,10 +226,7 @@ def _cmd_gen(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        inst = gen_random_unbounded(
-            GenParams(seed=params.seed + i, n_vars=params.n_vars,
-                      n_bounded=params.n_bounded, n_unbounded=params.n_unbounded,
-                      coeff_bound=params.coeff_bound))
+        inst = gen_random_unbounded(dataclasses.replace(params, seed=params.seed + i))
         (outdir / f"random_{params.seed + i}.smt2").write_text(
             emit(inst), encoding="utf-8")
     return 0

@@ -33,11 +33,8 @@ class GenParams:
     n_bounded: int = 2
     n_unbounded: int = 1
     coeff_bound: int = 9
-    flip_probability: Fraction = Fraction(1, 5)
 
     def __post_init__(self):
-        if not 0 <= self.flip_probability <= 1:
-            raise ValueError("flip probability must lie in [0, 1]")
         if self.n_vars < 2:
             raise ValueError("need at least two variables")
         if not 0 < self.n_bounded < self.n_vars:

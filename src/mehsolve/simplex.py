@@ -1,11 +1,12 @@
-"""Exact rational simplex with incremental rows and certificate extraction.
+"""Exact rational simplex over a fixed system, with a bound stack and certificates.
 
 The engine follows the bounds-separated design common to SMT theory
-solvers: every pushed inequality either tightens a native bound on a
+solvers: every row, added once, either tightens a native bound on a
 variable (single-variable rows) or introduces a slack variable whose
 defining equation joins the tableau and whose upper bound carries the
-row's constant.  Feasibility repair pivots with Bland's rule, so every
-call terminates; all arithmetic is exact.
+row's constant.  The rows stay; only bounds (branch-and-bound's branch
+bounds) are pushed and popped.  Feasibility repair pivots with Bland's
+rule, so every call terminates; all arithmetic is exact.
 
 The tableau is fraction-free (integer-preserving elimination): each row is
 a dict of integer coefficients over one positive integer denominator,
@@ -50,8 +51,8 @@ class SimplexInternalError(AssertionError):
 class BoundSource:
     """Where a bound (an atom usable in conflicts) came from.
 
-    ``kind`` is "row" for pushed inequalities and "branch" for bounds a
-    branch-and-bound driver adds.  ``scale`` is the positive factor by
+    ``kind`` is "row" for added inequalities and "branch" for bounds a
+    branch-and-bound driver pushes.  ``scale`` is the positive factor by
     which the originating inequality exceeds the stored unit atom, so a
     multiplier mu on the atom contributes mu / scale to the source row.
     """
@@ -99,11 +100,13 @@ OptOutcome = Optimal | UnboundedDirection | Infeasible
 
 
 class SimplexInstance:
-    """Tableau over a fixed set of problem variables plus grown slacks.
+    """Tableau over a fixed system of rows with a stack of bounds on top.
 
-    Rows are activated with ``push_row`` and deactivated in LIFO order
-    with ``pop_row``; feasibility and optimization answers always reflect
-    exactly the active rows.
+    Rows are added once with ``add_row``, before any bound is pushed, and
+    stay.  Bounds are pushed with ``push_bound`` and popped in LIFO order
+    with ``pop_bound``, each pop restoring the bound the push replaced;
+    feasibility and optimization answers always reflect the rows and the
+    bounds on the stack.
 
     The tableau is fraction-free: basic variable ``bv`` is defined by
     ``_den[bv] * x_bv = sum(c * x_k for k, c in _tab[bv].items())`` over
@@ -122,67 +125,50 @@ class SimplexInstance:
         self._tab: dict[int, dict[int, int]] = {}
         self._den: dict[int, int] = {}
         self._trail: list[tuple] = []
-        self._dead: list[BoundSource] = []
+        self._dead: Optional[BoundSource] = None
         self.pivots = 0
 
-    # -- stack ---------------------------------------------------------
+    # -- rows and the bound stack ------------------------------------------
 
-    def push_row(self, coeffs: Sequence[Fraction], b: Fraction,
-                 kind: str = "row", index: int = 0) -> None:
-        """Activate the inequality coeffs . x <= b."""
+    def add_row(self, coeffs: Sequence[Fraction], b: Fraction,
+                kind: str = "row", index: int = 0) -> None:
+        """Add the inequality coeffs . x <= b for good."""
+        if self._trail:
+            raise ValueError("rows must be added before any bound is pushed")
         support = [(j, c) for j, c in enumerate(coeffs) if c]
         if not support:
             if b < 0:
-                self._dead.append(BoundSource(kind, index))
-                self._trail.append(("dead",))
-            else:
-                self._trail.append(("noop",))
+                self._dead = BoundSource(kind, index)
             return
         if len(support) == 1:
             j, c = support[0]
-            if c > 0:
-                self._set_bound(j, "up", b / c, BoundSource(kind, index, c))
-            else:
-                self._set_bound(j, "lo", b / c, BoundSource(kind, index, -c))
+            self._tighten(j, "up" if c > 0 else "lo", b / c, BoundSource(kind, index, abs(c)))
             return
         s = self._alloc_slack(support)
         self._up[s] = (b, BoundSource(kind, index))
-        self._trail.append(("slack", s))
 
     def push_bound(self, var: int, side: str, value: Fraction,
                    kind: str, index: int) -> None:
-        """Activate var <= value (side "up") or var >= value (side "lo")."""
-        self._set_bound(var, side, value, BoundSource(kind, index))
+        """Push var <= value (side "up") or var >= value (side "lo")."""
+        old = self._tighten(var, side, value, BoundSource(kind, index))
+        self._trail.append((var, side, old))
 
-    def pop_row(self) -> None:
+    def pop_bound(self) -> None:
+        """Pop the last pushed bound, restoring the one it replaced."""
         if not self._trail:
-            raise EmptyStackError("pop on an empty assertion stack")
-        rec = self._trail.pop()
-        if rec[0] == "noop":
-            return
-        if rec[0] == "dead":
-            self._dead.pop()
-            return
-        if rec[0] == "slack":
-            # The slack's defining equation stays in the tableau as a free
-            # variable; only its bound is retracted.
-            self._up[rec[1]] = None
-            return
-        _, var, side, old = rec
-        if side == "up":
-            self._up[var] = old
-        else:
-            self._lo[var] = old
+            raise EmptyStackError("pop on an empty bound stack")
+        var, side, old = self._trail.pop()
+        (self._up if side == "up" else self._lo)[var] = old
 
     # -- internals -------------------------------------------------------
 
-    def _set_bound(self, var, side, value, src):
+    def _tighten(self, var, side, value, src):
+        """Keep the tighter of value and var's bound on side; return the old bound."""
         store = self._up if side == "up" else self._lo
         old = store[var]
-        self._trail.append(("bound", var, side, old))
-        better = old is None or (value < old[0] if side == "up" else value > old[0])
-        if better:
+        if old is None or (value < old[0] if side == "up" else value > old[0]):
             store[var] = (value, src)
+        return old
 
     def _alloc_slack(self, support: list[tuple[int, Fraction]]) -> int:
         s = len(self._beta)
@@ -225,6 +211,7 @@ class SimplexInstance:
         return _reduce(den, expr), expr
 
     def _update(self, var: int, value: Fraction) -> None:
+        """Move non-basic var to value and every basic variable with it."""
         delta = value - self._beta[var]
         if not delta:
             return
@@ -257,24 +244,30 @@ class SimplexInstance:
         self.pivots += 1
 
     def _pivot_and_update(self, bv: int, j: int, target: Fraction) -> None:
+        """Move x_j until basic bv reaches target, then swap the two."""
         theta = _scaled(target - self._beta[bv], self._den[bv], self._tab[bv][j])
-        self._beta[bv] = target
-        self._beta[j] += theta
-        if theta:
-            for other, orow in self._tab.items():
-                if other != bv:
-                    f = orow.get(j)
-                    if f:
-                        self._beta[other] += _scaled(theta, f, self._den[other])
+        self._update(j, self._beta[j] + theta)
         self._pivot(bv, j)
 
-    def _can_increase(self, j: int) -> bool:
-        up = self._up[j]
-        return up is None or self._beta[j] < up[0]
-
-    def _can_decrease(self, j: int) -> bool:
+    def _can_move(self, j: int, sign: int) -> bool:
+        """Whether x_j can increase (sign > 0) or decrease (sign < 0)."""
+        if sign > 0:
+            up = self._up[j]
+            return up is None or self._beta[j] < up[0]
         lo = self._lo[j]
         return lo is None or self._beta[j] > lo[0]
+
+    def _entering(self, row: dict[int, int], sign: int) -> Optional[int]:
+        """Bland's choice: the least x_j of row that can move row by sign."""
+        for j in sorted(row):
+            if self._can_move(j, sign if row[j] > 0 else -sign):
+                return j
+        return None
+
+    def _explain(self, row: dict[int, int], den: int, sign: int) -> list[Atom]:
+        """The bounds that stop every x_j of row / den from moving it by sign."""
+        return [((self._up if c * sign > 0 else self._lo)[j][1], Fraction(abs(c), den))
+                for j, c in row.items()]
 
     # -- feasibility -----------------------------------------------------
 
@@ -285,14 +278,14 @@ class SimplexInstance:
         inequality combination is constant and violated.  Bland's rule
         (smallest variable index everywhere) guarantees termination.
         """
-        if self._dead:
-            return [(self._dead[-1], _ONE)]
+        if self._dead is not None:
+            return [(self._dead, _ONE)]
         for var in range(len(self._beta)):
             lo, up = self._lo[var], self._up[var]
             if lo is not None and up is not None and lo[0] > up[0]:
                 return [(lo[1], _ONE), (up[1], _ONE)]
-        # Clamp non-basic variables back into their bounds; pops and bound
-        # tightenings may have left them outside.
+        # Clamp non-basic variables back into their bounds; pushed bounds
+        # may have left them outside.
         for var in range(len(self._beta)):
             if var in self._tab:
                 continue
@@ -302,51 +295,22 @@ class SimplexInstance:
             elif up is not None and self._beta[var] > up[0]:
                 self._update(var, up[0])
         while True:
-            viol = None
+            # The least violated basic variable, and the sign it must move by.
             for bv in sorted(self._tab):
                 lo, up = self._lo[bv], self._up[bv]
                 if lo is not None and self._beta[bv] < lo[0]:
-                    viol = (bv, "lo")
+                    sign, bound = 1, lo
                     break
                 if up is not None and self._beta[bv] > up[0]:
-                    viol = (bv, "up")
+                    sign, bound = -1, up
                     break
-            if viol is None:
-                return None
-            bv, side = viol
-            row = self._tab[bv]
-            if side == "lo":
-                enter = min(
-                    (j for j, c in row.items()
-                     if (c > 0 and self._can_increase(j))
-                     or (c < 0 and self._can_decrease(j))),
-                    default=None)
-                if enter is None:
-                    den = self._den[bv]
-                    atoms = [(self._lo[bv][1], _ONE)]
-                    for j, c in row.items():
-                        if c > 0:
-                            atoms.append((self._up[j][1], Fraction(c, den)))
-                        else:
-                            atoms.append((self._lo[j][1], Fraction(-c, den)))
-                    return atoms
-                self._pivot_and_update(bv, enter, self._lo[bv][0])
             else:
-                enter = min(
-                    (j for j, c in row.items()
-                     if (c < 0 and self._can_increase(j))
-                     or (c > 0 and self._can_decrease(j))),
-                    default=None)
-                if enter is None:
-                    den = self._den[bv]
-                    atoms = [(self._up[bv][1], _ONE)]
-                    for j, c in row.items():
-                        if c > 0:
-                            atoms.append((self._lo[j][1], Fraction(c, den)))
-                        else:
-                            atoms.append((self._up[j][1], Fraction(-c, den)))
-                    return atoms
-                self._pivot_and_update(bv, enter, self._up[bv][0])
+                return None
+            row = self._tab[bv]
+            enter = self._entering(row, sign)
+            if enter is None:
+                return [(bound[1], _ONE), *self._explain(row, self._den[bv], sign)]
+            self._pivot_and_update(bv, enter, bound[0])
 
     def assignment(self) -> list[Fraction]:
         return self._beta[: self.nvars]
@@ -354,7 +318,7 @@ class SimplexInstance:
     # -- optimization ------------------------------------------------------
 
     def optimize_max(self, h: dict[int, Fraction]):
-        """Maximize sum(h[j] * x_j) over the active rows.
+        """Maximize sum(h[j] * x_j) over the rows and the stacked bounds.
 
         Returns ("infeasible", atoms), ("unbounded", ray_over_all_vars) or
         ("optimal", value, dual_atoms).  Must be re-run after stack changes.
@@ -366,44 +330,24 @@ class SimplexInstance:
             return ("infeasible", conflict)
         dden, d = self._combine(h.items())
         while True:
-            enter = None
-            for j in sorted(d):
-                if d[j] > 0 and self._can_increase(j):
-                    enter = (j, 1)
-                    break
-                if d[j] < 0 and self._can_decrease(j):
-                    enter = (j, -1)
-                    break
-            if enter is None:
+            j = self._entering(d, 1)
+            if j is None:
                 value = sum((hp * self._beta[p] for p, hp in h.items()), _ZERO)
-                atoms: list[Atom] = []
-                for j, dj in d.items():
-                    if dj > 0:
-                        atoms.append((self._up[j][1], Fraction(dj, dden)))
-                    else:
-                        atoms.append((self._lo[j][1], Fraction(-dj, dden)))
-                return ("optimal", value, atoms)
-            j, sgn = enter
-            own = None
-            if sgn > 0 and self._up[j] is not None:
-                own = self._up[j][0] - self._beta[j]
-            elif sgn < 0 and self._lo[j] is not None:
-                own = self._beta[j] - self._lo[j][0]
+                return ("optimal", value, self._explain(d, dden, 1))
+            sgn = 1 if d[j] > 0 else -1
+            own = (self._up if sgn > 0 else self._lo)[j]
             best_t = best_bv = best_target = None
             for bv in sorted(self._tab):
                 c = self._tab[bv].get(j)
                 if not c:
                     continue
                 eff = c * sgn
-                if eff > 0 and self._up[bv] is not None:
-                    tgt = self._up[bv][0]
-                elif eff < 0 and self._lo[bv] is not None:
-                    tgt = self._lo[bv][0]
-                else:
+                bound = (self._up if eff > 0 else self._lo)[bv]
+                if bound is None:
                     continue
-                t = _scaled(tgt - self._beta[bv], self._den[bv], eff)
+                t = _scaled(bound[0] - self._beta[bv], self._den[bv], eff)
                 if best_t is None or t < best_t:
-                    best_t, best_bv, best_target = t, bv, tgt
+                    best_t, best_bv, best_target = t, bv, bound[0]
             if own is None and best_t is None:
                 ray = {j: Fraction(sgn)}
                 for bv, row in self._tab.items():
@@ -411,8 +355,8 @@ class SimplexInstance:
                     if c:
                         ray[bv] = Fraction(c * sgn, self._den[bv])
                 return ("unbounded", ray)
-            if best_t is None or (own is not None and own <= best_t):
-                self._update(j, self._beta[j] + sgn * own)
+            if best_t is None or (own is not None and (own[0] - self._beta[j]) * sgn <= best_t):
+                self._update(j, own[0])
             else:
                 self._pivot_and_update(best_bv, j, best_target)
                 dden = _eliminate(d, dden, d.pop(j), self._tab[j], self._den[j])
@@ -463,7 +407,7 @@ def _eliminate(row: dict[int, int], den: int, f: int, new: dict[int, int], p: in
 def instance_for(sys: ConstraintSystem) -> SimplexInstance:
     inst = SimplexInstance(sys.n)
     for i in range(sys.m):
-        inst.push_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
+        inst.add_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
     return inst
 
 
@@ -488,7 +432,12 @@ def check_feasible(sys: ConstraintSystem) -> Feasible | Infeasible:
                 lhs <= b for lhs, b in zip(sys.matrix.mul_vec(point), sys.bounds)
             ), "simplex returned an infeasible point"
         return Feasible(point)
-    cert = atoms_to_certificate(conflict, sys.m)
+    return _certified(sys, conflict)
+
+
+def _certified(sys: ConstraintSystem, atoms: list[Atom]) -> Infeasible:
+    """The certificate of conflict atoms over sys, checked independently."""
+    cert = atoms_to_certificate(atoms, sys.m)
     if not check_certificate(sys, cert):
         raise SimplexInternalError("simplex produced an invalid Farkas certificate")
     return Infeasible(cert)
@@ -522,10 +471,7 @@ def optimize_each(sys: ConstraintSystem, objectives: Sequence, sense: str) -> li
 def _optimize_on(sys: ConstraintSystem, inst: SimplexInstance, goal, sense) -> OptOutcome:
     res = inst.optimize_max({j: c for j, c in enumerate(goal) if c})
     if res[0] == "infeasible":
-        cert = atoms_to_certificate(res[1], sys.m)
-        if not check_certificate(sys, cert):
-            raise SimplexInternalError("simplex produced an invalid Farkas certificate")
-        return Infeasible(cert)
+        return _certified(sys, res[1])
     if res[0] == "unbounded":
         ray = [_ZERO] * sys.n
         for j, v in res[1].items():

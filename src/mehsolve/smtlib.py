@@ -227,9 +227,6 @@ class _Parser:
         return scaled, bound
 
     def _add_row(self, coeffs, const) -> None:
-        for name in coeffs:
-            if name not in self.decls:
-                raise ParseError(f"undeclared variable {name}")
         self.rows.append((coeffs, Fraction(const)))
 
     # -- terms ---------------------------------------------------------------

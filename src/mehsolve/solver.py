@@ -55,6 +55,9 @@ from .simplex import Infeasible, check_feasible, instance_for
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+# Branch-and-bound depth at which a dive is given up as divergent; it bounds
+# the work stack when branch_limit is far larger.
+DEPTH_LIMIT = 10**5
 
 
 class InternalSoundnessError(RuntimeError):
@@ -69,12 +72,11 @@ class StructureViolationError(ValueError):
 class SolveOptions:
     transforms_enabled: bool = True
     branch_limit: int = 10**6
-    depth_limit: int = 10**5
     time_budget: float = 60.0
 
     def __post_init__(self):
         # Written as not (x > 0) so that NaN is rejected too.
-        if not (self.branch_limit > 0 and self.depth_limit > 0 and self.time_budget > 0):
+        if not (self.branch_limit > 0 and self.time_budget > 0):
             raise ValueError("limits must be positive")
 
 
@@ -294,8 +296,9 @@ def branch_and_bound(
 
     Returns Sat with a mixed model, Unsat with a plain Farkas certificate
     (when the root LP is already infeasible) or a branch refutation over
-    sys, or Budget when a limit from ``options`` was hit.  Terminates on
-    every input only when sys is bounded; ``solve`` ensures that.
+    sys, or Budget when a limit from ``options`` or ``DEPTH_LIMIT`` was
+    hit.  Terminates on every input only when sys is bounded; ``solve``
+    ensures that.
     """
     opts = options or SolveOptions()
     stats = stats if stats is not None else SolveStats()
@@ -305,72 +308,64 @@ def branch_and_bound(
     work = [("explore", None)]
     results: list = []
     path: list[tuple[int, int]] = []
-    while work:
-        action, payload = work.pop()
-        if action == "push-lo":
-            j, f, d = payload
-            inst.push_bound(j, "up", Fraction(f), "branch", d)
-            continue
-        if action == "push-hi":
-            j, f, d = payload
-            inst.push_bound(j, "lo", Fraction(f + 1), "branch", d)
-            continue
-        if action == "pop":
-            inst.pop_row()
-            continue
-        if action == "combine":
-            high = results.pop()
-            low = results.pop()
-            var, f = path.pop()
-            coeffs = [_ZERO] * sys.n
-            coeffs[var] = _ONE
-            results.append(RefutationNode(Cut(tuple(coeffs), f), low, high))
-            continue
-        # explore
-        stats.nodes += 1
-        if stats.nodes > opts.branch_limit:
-            stats.budget_reason = "branch-limit"
-            stats.lp_pivots += inst.pivots
-            return Budget(stats)
-        if len(path) > opts.depth_limit:
-            stats.budget_reason = "depth-limit"
-            stats.lp_pivots += inst.pivots
-            return Budget(stats)
-        if time.monotonic() > deadline:
-            stats.budget_reason = "time-budget"
-            stats.lp_pivots += inst.pivots
-            return Budget(stats)
-        conflict = inst.check()
-        if conflict is not None:
-            row_mults: dict[int, Fraction] = {}
-            cut_mults: dict[int, Fraction] = {}
-            for src, mult in conflict:
-                if src.kind == "row":
-                    row_mults[src.index] = row_mults.get(src.index, _ZERO) + mult / src.scale
-                else:
-                    cut_mults[src.index] = cut_mults.get(src.index, _ZERO) + mult
-            results.append(RefutationLeaf(row_mults, cut_mults))
-            continue
-        beta = inst.assignment()
-        var = _pick_branch_var(sys, beta)
-        if var is None:
-            stats.lp_pivots += inst.pivots
-            model = Model(list(beta))
-            if not check_model(sys, model):
-                raise InternalSoundnessError("branch-and-bound model failed verification")
-            return Sat(model, stats)
-        f = math.floor(beta[var])
-        d = len(path)
-        path.append((var, f))
-        work.append(("combine", None))
-        work.append(("pop", None))
-        work.append(("explore", None))
-        work.append(("push-hi", (var, f, d)))
-        work.append(("pop", None))
-        work.append(("explore", None))
-        work.append(("push-lo", (var, f, d)))
-
-    stats.lp_pivots += inst.pivots
+    try:
+        while work:
+            action, payload = work.pop()
+            if action == "push":
+                inst.push_bound(*payload)
+                continue
+            if action == "pop":
+                inst.pop_bound()
+                continue
+            if action == "combine":
+                high = results.pop()
+                low = results.pop()
+                var, f = path.pop()
+                coeffs = [_ZERO] * sys.n
+                coeffs[var] = _ONE
+                results.append(RefutationNode(Cut(tuple(coeffs), f), low, high))
+                continue
+            # explore
+            stats.nodes += 1
+            if stats.nodes > opts.branch_limit:
+                stats.budget_reason = "branch-limit"
+                return Budget(stats)
+            if len(path) > DEPTH_LIMIT:
+                stats.budget_reason = "depth-limit"
+                return Budget(stats)
+            if time.monotonic() > deadline:
+                stats.budget_reason = "time-budget"
+                return Budget(stats)
+            conflict = inst.check()
+            if conflict is not None:
+                row_mults: dict[int, Fraction] = {}
+                cut_mults: dict[int, Fraction] = {}
+                for src, mult in conflict:
+                    if src.kind == "row":
+                        row_mults[src.index] = row_mults.get(src.index, _ZERO) + mult / src.scale
+                    else:
+                        cut_mults[src.index] = cut_mults.get(src.index, _ZERO) + mult
+                results.append(RefutationLeaf(row_mults, cut_mults))
+                continue
+            beta = inst.assignment()
+            var = _pick_branch_var(sys, beta)
+            if var is None:
+                model = Model(list(beta))
+                if not check_model(sys, model):
+                    raise InternalSoundnessError("branch-and-bound model failed verification")
+                return Sat(model, stats)
+            f = math.floor(beta[var])
+            d = len(path)
+            path.append((var, f))
+            work.append(("combine", None))
+            work.append(("pop", None))
+            work.append(("explore", None))
+            work.append(("push", (var, "lo", Fraction(f + 1), "branch", d)))
+            work.append(("pop", None))
+            work.append(("explore", None))
+            work.append(("push", (var, "up", Fraction(f), "branch", d)))
+    finally:
+        stats.lp_pivots += inst.pivots
     assert len(results) == 1, "branch tree bookkeeping failed"
     refutation = results[0]
     if isinstance(refutation, RefutationLeaf):

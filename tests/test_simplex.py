@@ -10,7 +10,7 @@ import mehsolve.simplex as simplex
 from mehsolve.analysis import classify, split
 from mehsolve.generators import GenParams, gen_random_unbounded
 from mehsolve.linalg import Matrix
-from mehsolve.model import check_certificate
+from mehsolve.model import FarkasCertificate, check_certificate
 from mehsolve.solver import SolveStats, Unsat, branch_and_bound
 from mehsolve.simplex import (
     EmptyStackError,
@@ -55,6 +55,26 @@ class TestCheckFeasible:
             assert all(v <= b for v, b in zip(lhs, sys.bounds))
         else:
             assert check_certificate(sys, res.certificate)
+
+    @given(systems())
+    def test_repair_visits_no_basis_twice(self, sys):
+        # Bland's rule never returns to a basis, so one check() makes at
+        # most as many pivots as there are bases; moving the entering
+        # variable the wrong way breaks that and loops.
+        inst = _PivotCapped(sys.n)
+        for i in range(sys.m):
+            inst.add_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
+        inst.cap = math.comb(len(inst._beta), len(inst._tab))
+        conflict = inst.check()
+        assert (conflict is None) == isinstance(check_feasible(sys), Feasible)
+
+
+class _PivotCapped(SimplexInstance):
+    cap = 0
+
+    def _pivot(self, bv, j):
+        assert self.pivots < self.cap, "more pivots than bases"
+        super()._pivot(bv, j)
 
 
 class TestOptimize:
@@ -171,33 +191,56 @@ def _vertices(sys):
 class TestPushPop:
     def test_push_conflict_then_pop(self):
         inst = SimplexInstance(1)
-        inst.push_row([Fraction(1)], Fraction(1), "row", 0)
+        inst.add_row([Fraction(1)], Fraction(1), "row", 0)
         assert inst.check() is None
-        inst.push_row([Fraction(-1)], Fraction(-2), "row", 1)
+        inst.push_bound(0, "lo", Fraction(2), "branch", 1)
         conflict = inst.check()
         assert conflict is not None
-        srcs = sorted((src.index, mult) for src, mult in conflict)
-        assert srcs == [(0, 1), (1, 1)]
-        inst.pop_row()
+        srcs = sorted((src.kind, src.index, mult) for src, mult in conflict)
+        assert srcs == [("branch", 1, 1), ("row", 0, 1)]
+        inst.pop_bound()
         assert inst.check() is None
 
+    def test_pop_restores_the_replaced_bound(self):
+        inst = SimplexInstance(2)
+        inst.add_row([Fraction(1), Fraction(1)], Fraction(4), "row", 0)
+        inst.push_bound(0, "lo", Fraction(3), "branch", 0)
+        inst.push_bound(1, "lo", Fraction(1), "branch", 1)
+        assert inst.check() is None
+        inst.push_bound(1, "lo", Fraction(0), "branch", 2)  # looser: no change
+        inst.push_bound(0, "lo", Fraction(4), "branch", 3)
+        assert inst.check() is not None
+        inst.pop_bound()
+        inst.pop_bound()
+        assert inst.check() is None
+        inst.push_bound(0, "lo", Fraction(4), "branch", 2)
+        assert inst.check() is not None  # x1 >= 1 is back
+
     def test_pop_empty_raises(self):
+        inst = SimplexInstance(1)
         with pytest.raises(EmptyStackError):
-            SimplexInstance(1).pop_row()
+            inst.pop_bound()
+        inst.add_row([Fraction(1)], Fraction(1), "row", 0)
+        with pytest.raises(EmptyStackError):
+            inst.pop_bound()
+
+    def test_rows_come_before_bounds(self):
+        inst = SimplexInstance(1)
+        inst.push_bound(0, "up", Fraction(1), "branch", 0)
+        with pytest.raises(ValueError):
+            inst.add_row([Fraction(1)], Fraction(0), "row", 0)
 
     def test_tautologies(self):
         inst = SimplexInstance(2)
         for i in range(5):
-            inst.push_row([Fraction(0), Fraction(0)], Fraction(i), "row", i)
+            inst.add_row([Fraction(0), Fraction(0)], Fraction(i), "row", i)
             assert inst.check() is None
 
     def test_zero_row_contradiction(self):
         inst = SimplexInstance(1)
-        inst.push_row([Fraction(0)], Fraction(-1), "row", 7)
+        inst.add_row([Fraction(0)], Fraction(-1), "row", 7)
         conflict = inst.check()
         assert conflict is not None and conflict[0][0].index == 7
-        inst.pop_row()
-        assert inst.check() is None
 
     @given(systems(max_m=5, max_n=3), st.permutations(range(5)))
     def test_push_order_is_irrelevant(self, sys, perm):
@@ -205,21 +248,47 @@ class TestPushPop:
         batch = check_feasible(sys)
         inst = SimplexInstance(sys.n)
         for i in order:
-            inst.push_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
+            inst.add_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
         incremental = inst.check()
         assert (incremental is None) == isinstance(batch, Feasible)
 
-    @given(systems(max_m=4, max_n=3))
-    def test_interleaved_push_pop(self, sys):
-        inst = SimplexInstance(sys.n)
-        verdicts = []
-        for i in range(sys.m):
-            inst.push_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
-            verdicts.append(inst.check() is None)
-        for i in reversed(range(sys.m)):
-            inst.pop_row()
-            expected = verdicts[i - 1] if i else True
-            assert (inst.check() is None) == expected
+    @given(systems(max_m=4, max_n=3),
+           st.lists(st.tuples(st.sampled_from(["push", "pop", "check"]),
+                              st.integers(0, 2), st.sampled_from(["lo", "up"]),
+                              st.integers(-4, 4)),
+                    max_size=12))
+    def test_interleaved_push_pop(self, sys, ops):
+        # After each check the verdict is the one of the system plus the
+        # stacked bounds written as rows, and a conflict is a certificate
+        # over those rows: branch atom k stands for the k-th stacked bound.
+        inst = simplex.instance_for(sys)
+        stack = []
+        for op, var, side, value in ops + [("check", 0, "up", 0)]:
+            if op == "push":
+                var %= sys.n
+                inst.push_bound(var, side, Fraction(value), "branch", len(stack))
+                stack.append((var, side, Fraction(value)))
+            elif op == "pop":
+                if stack:
+                    inst.pop_bound()
+                    stack.pop()
+            else:
+                rows, bounds = list(sys.matrix.rows), list(sys.bounds)
+                for var, side, value in stack:
+                    sign = 1 if side == "up" else -1
+                    rows.append([sign if j == var else 0 for j in range(sys.n)])
+                    bounds.append(sign * value)
+                full = mk_system(rows, bounds, "q" * sys.n)
+                conflict = inst.check()
+                assert (conflict is None) == isinstance(check_feasible(full), Feasible)
+                if conflict is None:
+                    lhs = full.matrix.mul_vec(inst.assignment())
+                    assert all(v <= b for v, b in zip(lhs, full.bounds))
+                else:
+                    y = [Fraction(0)] * full.m
+                    for src, mult in conflict:
+                        y[src.index if src.kind == "row" else sys.m + src.index] += mult / src.scale
+                    assert check_certificate(full, FarkasCertificate(y))
 
 
 def assert_tableau_invariants(inst):
@@ -237,28 +306,23 @@ def assert_tableau_invariants(inst):
 
 class TestTableauInvariants:
     @given(systems(max_m=6, max_n=4),
-           st.lists(st.tuples(st.sampled_from(["push", "bound", "pop", "check", "optimize"]),
+           st.lists(st.tuples(st.sampled_from(["bound", "pop", "check", "optimize"]),
                               st.lists(st.integers(-3, 3), min_size=4, max_size=4)),
                     max_size=16))
     def test_rows_stay_reduced_and_hold(self, sys, ops):
-        # Every row of sys is pushed first, so the tableau has slack rows
-        # for the interleaved pushes, pops, checks and optimizations to
+        # Every row of sys is added first, so the tableau has slack rows
+        # for the interleaved bounds, pops, checks and optimizations to
         # pivot on.
-        inst = SimplexInstance(sys.n)
-        ops = [("push", None)] * sys.m + [("check", None)] + ops
+        inst = simplex.instance_for(sys)
         pushed = 0
-        for op, vec in ops:
-            if op == "push":
-                i = pushed % sys.m
-                inst.push_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
-                pushed += 1
-            elif op == "bound":
+        for op, vec in [("check", None)] + ops:
+            if op == "bound":
                 inst.push_bound(abs(vec[0]) % sys.n, "up" if vec[1] >= 0 else "lo",
                                 Fraction(vec[2], 1 + abs(vec[3])), "branch", 0)
                 pushed += 1
             elif op == "pop":
                 if pushed:
-                    inst.pop_row()
+                    inst.pop_bound()
                     pushed -= 1
             elif op == "check":
                 inst.check()

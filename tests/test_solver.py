@@ -153,6 +153,13 @@ class TestBranchAndBound:
         assert isinstance(res, Budget)
         assert res.stats.budget_reason == "branch-limit"
 
+    def test_depth_limit_stops_a_divergent_dive(self, monkeypatch):
+        monkeypatch.setattr(solver, "DEPTH_LIMIT", 5)
+        res = solve(band("zz"), SolveOptions(transforms_enabled=False))
+        assert isinstance(res, Budget)
+        assert res.stats.budget_reason == "depth-limit"
+        assert res.stats.nodes == 7  # a pure dive: node 7 lies 6 branches deep
+
     def test_extra_bounds_are_constraints(self):
         # x <= 10 with the box 1/2 <= x <= 3/4 written as rows: no integer.
         sys = mk_system([[1], [1], [-1]], [10, Fraction(3, 4), Fraction(-1, 2)], "z")
@@ -262,7 +269,7 @@ class TestSolve:
         assert isinstance(res, Sat)
         assert res.stats.classification == "absolutely-unbounded"
 
-    @pytest.mark.parametrize("limit", ["branch_limit", "depth_limit", "time_budget"])
+    @pytest.mark.parametrize("limit", ["branch_limit", "time_budget"])
     def test_nan_limit_rejected(self, limit):
         # A NaN deadline never expires: time.monotonic() > nan is False.
         with pytest.raises(ValueError):
