@@ -22,7 +22,11 @@ transformation pipeline, plus:
   first ``cols`` columns, and ``hermite_normal_form`` can reduce an (h, u)
   pair in place from (row0, col0) on; ``mehnf.batch_mehnf`` runs both on
   one pair,
-* exact inversion, rank and determinant.
+* exact inversion, which is ``column_reduce`` again: every row of an
+  invertible matrix pivots in order and becomes the next unit row, so
+  h = I and v is the inverse,
+* rank and determinant, by their own Gaussian elimination (the generator
+  uses rank; the shape predicates and the tests use the determinant).
 
 Column indices in the public pivot helpers are 1-based to match the usual
 statement of the definitions; matrix entries themselves are addressed
@@ -205,30 +209,18 @@ class Matrix:
         return det if sign > 0 else -det
 
     def invert(self) -> "Matrix":
-        """Exact inverse via Gauss-Jordan elimination.
+        """Exact inverse, by ``column_reduce``.
 
-        Raises SingularMatrixError when no inverse exists.
+        Every row of an invertible matrix pivots in order and becomes the
+        next unit row, so h = I and v is the inverse.  Raises
+        SingularMatrixError when no inverse exists.
         """
         if self.m != self.n:
             raise SingularMatrixError("only square matrices can be inverted")
-        n = self.n
-        work = [row[:] + [_ONE if i == k else _ZERO for k in range(n)]
-                for i, row in enumerate(self.rows)]
-        for j in range(n):
-            for i in range(j, n):
-                if work[i][j]:
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular")
-            work[i], work[j] = work[j], work[i]
-            pivot = work[j][j]
-            if pivot != 1:
-                work[j] = [x / pivot for x in work[j]]
-            for k in range(n):
-                if k != j and work[k][j]:
-                    f = work[k][j]
-                    work[k] = [a - f * b for a, b in zip(work[k], work[j])]
-        return Matrix([row[n:] for row in work])
+        _, v, pivot_rows = column_reduce(self)
+        if len(pivot_rows) < self.n:
+            raise SingularMatrixError("matrix is singular")
+        return v
 
 
 def piv(a: Matrix, j: int) -> int:

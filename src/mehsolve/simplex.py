@@ -426,12 +426,7 @@ def check_feasible(sys: ConstraintSystem) -> Feasible | Infeasible:
     inst = instance_for(sys)
     conflict = inst.check()
     if conflict is None:
-        point = inst.assignment()
-        if __debug__:
-            assert all(
-                lhs <= b for lhs, b in zip(sys.matrix.mul_vec(point), sys.bounds)
-            ), "simplex returned an infeasible point"
-        return Feasible(point)
+        return Feasible(inst.assignment())
     return _certified(sys, conflict)
 
 
@@ -477,13 +472,7 @@ def _optimize_on(sys: ConstraintSystem, inst: SimplexInstance, goal, sense) -> O
         for j, v in res[1].items():
             if j < sys.n:
                 ray[j] = v
-        ray = _normalize_ray(ray)
-        if __debug__:
-            moved = sys.matrix.mul_vec(ray)
-            assert all(v <= 0 for v in moved), "unbounded ray leaves the recession cone"
-            gain = sum(a * b for a, b in zip(goal, ray))
-            assert gain > 0, "unbounded ray does not improve the objective"
-        return UnboundedDirection(ray)
+        return UnboundedDirection(_normalize_ray(ray))
     _, maxvalue, atoms = res
     value = maxvalue if sense == "max" else -maxvalue
     dual = atoms_to_certificate(atoms, sys.m).multiplier_vector(sys.m)

@@ -14,14 +14,17 @@ Unsatisfiability of a mixed system that is rationally feasible cannot be
 witnessed by a single Farkas certificate; branch-and-bound therefore
 returns a *branch refutation*: a binary tree of integer-valid cuts whose
 leaves carry Farkas certificates over the system plus the cuts on the
-path.  ``check_refutation`` verifies such trees independently.  Every Sat
-result is checked with ``check_model`` and every Unsat result with
-``check_certificate``/``check_refutation`` against the original system
-before it is returned, in all build modes, and only once: a witness that
-a phase has verified against the normalized system is not checked again
-when that system is the input itself.  Certificates and refutations
-move from one system to another through ``_pull_back``, which needs only
-how each source row is combined from target rows.
+path.  ``check_refutation`` verifies such trees independently.
+
+Only ``solve`` checks witnesses.  Its ``_finalize`` is the one trust
+boundary: every Sat result is checked with ``check_model`` and every Unsat
+result with ``check_certificate``/``check_refutation``, once, against the
+input system, in all build modes; a witness that fails raises
+``InternalSoundnessError``.  The phases below it (``branch_and_bound``,
+``unit_cube_test``, ``mixed_extension`` and ``convert_certificate``) hand
+back unchecked witnesses.  Certificates and refutations move from one
+system to another through ``_pull_back``, which needs only how each
+source row is combined from target rows.
 """
 
 from __future__ import annotations
@@ -297,8 +300,8 @@ def branch_and_bound(
     Returns Sat with a mixed model, Unsat with a plain Farkas certificate
     (when the root LP is already infeasible) or a branch refutation over
     sys, or Budget when a limit from ``options`` or ``DEPTH_LIMIT`` was
-    hit.  Terminates on every input only when sys is bounded; ``solve``
-    ensures that.
+    hit.  The witness is returned unchecked.  Terminates on every input
+    only when sys is bounded; ``solve`` ensures that.
     """
     opts = options or SolveOptions()
     stats = stats if stats is not None else SolveStats()
@@ -350,10 +353,7 @@ def branch_and_bound(
             beta = inst.assignment()
             var = _pick_branch_var(sys, beta)
             if var is None:
-                model = Model(list(beta))
-                if not check_model(sys, model):
-                    raise InternalSoundnessError("branch-and-bound model failed verification")
-                return Sat(model, stats)
+                return Sat(Model(list(beta)), stats)
             f = math.floor(beta[var])
             d = len(path)
             path.append((var, f))
@@ -370,7 +370,7 @@ def branch_and_bound(
     refutation = results[0]
     if isinstance(refutation, RefutationLeaf):
         refutation = _farkas(refutation, sys.m)
-    return Unsat(_verified(sys, refutation, "branch-and-bound"), stats)
+    return Unsat(refutation, stats)
 
 
 # -- unit cube test -----------------------------------------------------------
@@ -382,8 +382,10 @@ def unit_cube_test(sys: ConstraintSystem) -> Optional[Model]:
     Tightens every bound by half the 1-norm of the row's integer-column
     coefficients, solves the widened rational system, and rounds the
     integer coordinates of the center to the nearest integer (ties toward
-    minus infinity).  A successful round always verifies; systems in which
-    every direction is unbounded always succeed.
+    minus infinity).  Rounding moves each row by at most the amount its
+    bound was tightened by, so the model satisfies sys and is returned
+    unchecked.  Systems in which every direction is unbounded always
+    succeed.
     """
     widened_bounds = []
     for i in range(sys.m):
@@ -397,10 +399,7 @@ def unit_cube_test(sys: ConstraintSystem) -> Optional[Model]:
     values = list(res.point)
     for j in sys.integer_columns():
         values[j] = Fraction(math.ceil(values[j] - _HALF))
-    model = Model(values)
-    if not check_model(sys, model):
-        return None
-    return model
+    return Model(values)
 
 
 # -- mixed extension -----------------------------------------------------------
@@ -420,7 +419,8 @@ def mixed_extension(
     the residual system is restricted to the remaining (gap) columns and
     solved with the unit cube test, which cannot fail there because every
     direction of it is unbounded.  Returns V t' in original coordinates.
-    Without ``unbounded`` (the bounded route) the result is V t.
+    Without ``unbounded`` (the bounded route) the result is V t.  The
+    model is returned unchecked.
     """
     tprime = list(t.values)
     fixed = free = []
@@ -458,17 +458,6 @@ def mixed_extension(
 def _farkas(leaf: RefutationLeaf, m: int) -> FarkasCertificate:
     """The Farkas certificate over m rows of a refutation that is one leaf."""
     return FarkasCertificate([leaf.row_mults.get(i, _ZERO) for i in range(m)])
-
-
-def _verified(sys: ConstraintSystem, cert, what: str):
-    """cert, after checking it against sys; raises if the check fails."""
-    if isinstance(cert, FarkasCertificate):
-        ok, kind = check_certificate(sys, cert), "certificate"
-    else:
-        ok, kind = check_refutation(sys, cert), "refutation"
-    if not ok:
-        raise InternalSoundnessError(f"{what} {kind} failed verification")
-    return cert
 
 
 def _pull_back(cert, row_map: Sequence[dict[int, Fraction]], m: int,
@@ -524,10 +513,9 @@ def convert_certificate(
     Row i of the transformed system is implied by the target rows in
     ``row_map[i]`` (see ``_pull_back``), and branch cuts on transformed
     variables become cuts on the original variables through the inverse
-    transformation.  The result is re-verified against the target system.
+    transformation.  The result is returned unchecked.
     """
-    converted = _pull_back(certificate, row_map, target.m, _cut_map(v))
-    return _verified(target, converted, "converted")
+    return _pull_back(certificate, row_map, target.m, _cut_map(v))
 
 
 # -- the full pipeline -------------------------------------------------------
@@ -544,33 +532,33 @@ def solve(sys: ConstraintSystem, options: Optional[SolveOptions] = None) -> Solv
     riding along, then branch-and-bound and model/certificate conversion.
     ``stats.transform_seconds`` times that ``batch_mehnf`` call, riding
     rows included.  With transforms disabled, branch-and-bound runs on the
-    raw system under the option limits and may return Budget.
+    raw system under the option limits and may return Budget.  Every Sat
+    or Unsat result is checked once, against sys, before it is returned.
     """
     opts = options or SolveOptions()
     stats = SolveStats()
     started = time.monotonic()
     deadline = started + opts.time_budget
     try:
-        return _solve_inner(sys, opts, stats, deadline)
+        norm = normalize(sys)
+        if isinstance(norm, TriviallyUnsat):
+            return _finalize(sys, range(sys.m), Unsat(norm.certificate, stats))
+        norm, kept = norm
+        return _finalize(sys, kept, _solve_inner(norm, opts, stats, deadline))
     finally:
         stats.total_seconds = time.monotonic() - started
 
 
-def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
-    norm = normalize(sys)
-    if isinstance(norm, TriviallyUnsat):
-        return _finalize(sys, None, Unsat(norm.certificate, stats))
-    norm, kept = norm
-
+def _solve_inner(norm, opts, stats, deadline) -> SolveResult:
+    """The unchecked result on a normalized system; witnesses are over norm."""
     if not opts.transforms_enabled:
         # The root node decides rational feasibility.
-        res = branch_and_bound(norm, opts, stats, deadline)
-        return _finalize(sys, kept, res)
+        return branch_and_bound(norm, opts, stats, deadline)
 
     try:
         cls = classify(norm)
     except InfeasibleSystemError as exc:
-        return _finalize(sys, kept, Unsat(exc.certificate, stats))
+        return Unsat(exc.certificate, stats)
     stats.classification = cls.verdict.value
 
     if cls.verdict is Verdict.ABSOLUTELY_UNBOUNDED:
@@ -578,12 +566,11 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
         if model is None:
             raise InternalSoundnessError(
                 "unit cube test failed on an absolutely unbounded system")
-        return _finalize(sys, kept, Sat(model, stats))
+        return Sat(model, stats)
 
     if cls.verdict is Verdict.BOUNDED:
         if not cls.equalities:
-            res = branch_and_bound(norm, opts, stats, deadline)
-            return _finalize(sys, kept, res)
+            return branch_and_bound(norm, opts, stats, deadline)
         # Search in y = V^-1 x, V from the MEHNF of the equality rows; the
         # whole system rides along the column steps and comes out as A V.
         sp = None
@@ -613,14 +600,11 @@ def _solve_inner(sys, opts, stats, deadline) -> SolveResult:
             {origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w} for i in row_perm]
 
     res = branch_and_bound(tsys, opts, stats, deadline)
-    if isinstance(res, Budget):
-        return res
     if isinstance(res, Sat):
-        # The model in x has been checked nowhere yet.
-        model = mixed_extension(v, h_top, res.model, unbounded)
-        return _finalize(sys, None, Sat(model, stats))
-    cert = convert_certificate(row_map, v, res.certificate, norm)
-    return _finalize(sys, kept, Unsat(cert, stats))
+        return Sat(mixed_extension(v, h_top, res.model, unbounded), stats)
+    if isinstance(res, Unsat):
+        return Unsat(convert_certificate(row_map, v, res.certificate, norm), stats)
+    return res
 
 
 def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> ConstraintSystem:
@@ -638,20 +622,25 @@ def _y_variables(norm: ConstraintSystem) -> list[VarInfo]:
 
 
 def _finalize(original, kept, res) -> SolveResult:
-    """res, after verifying its witness against the input if still needed.
+    """res, after checking its witness once, against the input.
 
-    kept is None when the witness is over the input and unchecked.
-    Otherwise it was verified against the normalized system, whose row i
-    is input row kept[i]; when no row was dropped, that system is the
-    input itself and the witness is not checked again.
+    A model is over the input's variables.  A certificate or refutation is
+    over the normalized system, whose row i is input row kept[i]; when
+    normalize dropped rows it is pulled back onto the input first.  Raises
+    InternalSoundnessError when the check fails.
     """
-    if isinstance(res, Budget) or (kept is not None and len(kept) == original.m):
-        return res
     if isinstance(res, Sat):
-        if not check_model(original, res.model):
-            raise InternalSoundnessError("final model failed verification")
+        ok = check_model(original, res.model)
+    elif isinstance(res, Unsat):
+        if len(kept) != original.m:
+            res = Unsat(_pull_back(res.certificate, [{k: 1} for k in kept], original.m),
+                        res.stats)
+        if isinstance(res.certificate, FarkasCertificate):
+            ok = check_certificate(original, res.certificate)
+        else:
+            ok = check_refutation(original, res.certificate)
+    else:
         return res
-    certificate = res.certificate
-    if kept is not None:
-        certificate = _pull_back(certificate, [{k: 1} for k in kept], original.m)
-    return Unsat(_verified(original, certificate, "final"), res.stats)
+    if not ok:
+        raise InternalSoundnessError("final witness failed verification")
+    return res

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mehsolve.simplex as simplex
@@ -136,7 +136,9 @@ class TestOptimize:
             assert obj <= res.value
 
     @given(systems(max_m=4, max_n=3), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    @example(mk_system([[1, 0]], [0], "zz"), [0, 1, 0])
     def test_cone_optimum_is_zero(self, sys, h):
+        # Optimal at 0, or a ray of the cone along which h grows.
         h = [Fraction(v) for v in h[: sys.n]]
         if not any(h):
             return
@@ -146,6 +148,9 @@ class TestOptimize:
         assert isinstance(res, (Optimal, UnboundedDirection))
         if isinstance(res, Optimal):
             assert res.value == 0
+        else:
+            assert all(v <= 0 for v in cone.matrix.mul_vec(res.ray))
+            assert sum(a * r for a, r in zip(h, res.ray)) > 0
 
 
 class TestOptimizeEach:

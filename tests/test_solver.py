@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mehsolve.solver as solver
@@ -56,6 +56,13 @@ def boxed_equality(row, rhs, dropped=False):
     if dropped:
         rows, bounds = [[0, 0]] + rows, [1] + bounds
     return mk_system(rows, bounds, "zz")
+
+
+def _emptied(cert):
+    """cert with every multiplier dropped: a witness that proves nothing."""
+    if isinstance(cert, FarkasCertificate):
+        return FarkasCertificate([Fraction(0)] * len(cert.y))
+    return solver._map_tree(cert, lambda leaf: RefutationLeaf({}, {}), lambda cut: cut)
 
 
 def assert_witness_holds(sys, res):
@@ -128,6 +135,15 @@ class TestUnitCubeTest:
     def test_fails_when_widened_is_empty(self):
         sys = mk_system([[2], [-2]], [1, 0], "z")
         assert unit_cube_test(sys) is None
+
+    @given(systems(max_m=5, max_n=3))
+    @settings(max_examples=60)
+    def test_rounded_model_satisfies_the_system(self, sys):
+        # unit_cube_test returns its model unchecked: rounding moves each
+        # row by at most what its bound was tightened by.
+        model = unit_cube_test(sys)
+        assume(model is not None)
+        assert check_model(sys, model)
 
 
 class TestBranchAndBound:
@@ -340,9 +356,8 @@ class TestSolve:
         return checked
 
     def test_bounded_unsat_is_checked_once(self, monkeypatch):
-        # 1 <= 3x <= 2 drops no row, so the normalized system is the input:
-        # branch-and-bound's check of its refutation is the check against
-        # the input, and it is not repeated.
+        # 1 <= 3x <= 2: branch-and-bound returns its refutation unchecked,
+        # and solve checks it once, against the input.
         checked = self._count_refutation_checks(monkeypatch)
         sys = mk_system([[3], [-3]], [2, -1], "z")
         res = solve(sys)
@@ -351,15 +366,14 @@ class TestSolve:
         assert len(checked) == 1 and checked[0] is sys
         assert check_refutation(sys, res.certificate)
 
-    def test_bounded_unsat_past_dropped_row_is_checked_again(self, monkeypatch):
+    def test_bounded_unsat_past_dropped_row_is_checked_once_on_the_input(self, monkeypatch):
         # With a constant row dropped, the refutation of the normalized
-        # system is pulled back and checked once more, against the input.
+        # system is pulled back and checked once, against the input.
         checked = self._count_refutation_checks(monkeypatch)
         sys = mk_system([[0], [3], [-3]], [1, 2, -1], "z")
         res = solve(sys)
         assert isinstance(res, Unsat)
-        assert len(checked) == 2
-        assert checked[0] is not sys and checked[1] is sys
+        assert len(checked) == 1 and checked[0] is sys
         assert check_refutation(sys, res.certificate)
 
     @pytest.mark.parametrize("sys, classification", [
@@ -368,10 +382,9 @@ class TestSolve:
         (band("qz", [[1, 1]], [10]), "partially-unbounded"),
     ])
     def test_sat_model_is_checked_once_on_the_input(self, monkeypatch, sys, classification):
-        # No row is dropped, so the normalized system is the input: a model
-        # that branch-and-bound or the unit cube test has checked against
-        # it is not checked again, and the extended model of the partially
-        # unbounded route is checked exactly once.
+        # Branch-and-bound, the unit cube test and the mixed extension
+        # return their models unchecked; solve checks each once, against
+        # the input.
         checked = []
 
         def counting(system, model):
@@ -388,22 +401,21 @@ class TestSolve:
     @pytest.mark.parametrize("dropped", [False, True])
     def test_bounded_equality_unsat_is_checked_once_on_the_input(self, monkeypatch, dropped):
         # 3x - 3y = 1: one branch on the transformed variable refutes it.
-        # The refutation is checked over A V by branch-and-bound, over the
-        # normalized system by convert_certificate, and, past a dropped
-        # row, pulled back and checked once more against the input.
+        # The refutation over A V is converted onto the normalized system,
+        # pulled back past a dropped row, and checked once, against the
+        # input.
         checked = self._count_refutation_checks(monkeypatch)
         sys = boxed_equality([3, -3], 1, dropped)
         res = solve(sys)
         assert isinstance(res, Unsat)
         assert res.stats.classification == "bounded" and res.stats.nodes == 3
-        assert sum(1 for system in checked if system is sys) == 1
-        assert checked[-1] is sys and len(checked) == (3 if dropped else 2)
+        assert len(checked) == 1 and checked[0] is sys
         assert check_refutation(sys, res.certificate)
 
     @pytest.mark.parametrize("dropped", [False, True])
     def test_bounded_equality_sat_is_checked_once_on_the_input(self, monkeypatch, dropped):
-        # x + 2y = 3: branch-and-bound checks its model over A V, and the
-        # model V y is checked once, against the input.
+        # x + 2y = 3: branch-and-bound's model over A V is not checked;
+        # the model V y is checked once, against the input.
         checked = []
 
         def counting(system, model):
@@ -415,8 +427,60 @@ class TestSolve:
         res = solve(sys)
         assert isinstance(res, Sat)
         assert res.stats.classification == "bounded"
-        assert len(checked) == 2 and checked[-1] is sys and checked[0] is not sys
+        assert len(checked) == 1 and checked[0] is sys
         assert check_model(sys, res.model)
+
+    @staticmethod
+    def _corrupt(monkeypatch, name, corrupt) -> list:
+        """Make solver.<name> return corrupt(its result); list its calls."""
+        calls = []
+        phase = getattr(solver, name)
+
+        def corrupted(*args, **kwargs):
+            calls.append(args)
+            return corrupt(phase(*args, **kwargs))
+
+        monkeypatch.setattr(solver, name, corrupted)
+        return calls
+
+    def test_bad_branch_and_bound_model_is_caught(self, monkeypatch):
+        # Bounded, no equalities: branch-and-bound's model is the answer.
+        sys = mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "zz")
+        cls = classify(sys)
+        assert cls.verdict is Verdict.BOUNDED and not cls.equalities
+        calls = self._corrupt(monkeypatch, "branch_and_bound", lambda res: Sat(
+            Model([x + 2 for x in res.model.values]), res.stats))
+        with pytest.raises(solver.InternalSoundnessError):
+            solve(sys)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sys", [boxed_equality([3, -3], 1), band("zz", [[1, 1]], [10])],
+                             ids=["bounded-equality", "partially-unbounded"])
+    def test_bad_branch_and_bound_refutation_is_caught(self, monkeypatch, sys):
+        # On both transformed routes the refutation over the transformed
+        # system is converted, never checked, before it reaches solve.
+        calls = self._corrupt(monkeypatch, "branch_and_bound", lambda res: Unsat(
+            _emptied(res.certificate), res.stats))
+        with pytest.raises(solver.InternalSoundnessError):
+            solve(sys)
+        assert len(calls) == 1
+
+    def test_bad_unit_cube_model_is_caught(self, monkeypatch):
+        # Absolutely unbounded: a rounded coordinate is left off the grid.
+        sys = mk_system([[1, 1]], [0], "zz")
+        calls = self._corrupt(monkeypatch, "unit_cube_test", lambda model: Model(
+            [model.values[0] + Fraction(1, 2)] + model.values[1:]))
+        with pytest.raises(solver.InternalSoundnessError):
+            solve(sys)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sys", [boxed_equality([3, -3], 1), band("zz", [[1, 1]], [10])],
+                             ids=["bounded-equality", "partially-unbounded"])
+    def test_bad_converted_certificate_is_caught(self, monkeypatch, sys):
+        calls = self._corrupt(monkeypatch, "convert_certificate", _emptied)
+        with pytest.raises(solver.InternalSoundnessError):
+            solve(sys)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sys, expected", [
         (band("qq", [[1, 1]], [10]), Sat),            # unbounded part rides along
