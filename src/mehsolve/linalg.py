@@ -74,7 +74,13 @@ class Matrix:
     __slots__ = ("m", "n", "rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        self.rows = [[frac(x) for x in row] for row in rows]
+        self.rows = [list(row) for row in rows]
+        # Rows of Fractions, what most callers pass, are kept as copied.
+        for row in self.rows:
+            for x in row:
+                if type(x) is not Fraction:
+                    row[:] = map(frac, row)
+                    break
         self.m = len(self.rows)
         self.n = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.n for r in self.rows):
@@ -512,18 +518,6 @@ def format_matrix(m: Matrix) -> str:
     for row in m.rows:
         lines.append(" ".join(_format_rat(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> Matrix:
-    toks = text.split()
-    if len(toks) < 2:
-        raise ValueError("matrix text must start with 'm n'")
-    m, n = int(toks[0]), int(toks[1])
-    entries = toks[2:]
-    if len(entries) != m * n:
-        raise ValueError(f"expected {m * n} entries, found {len(entries)}")
-    it = iter(entries)
-    return Matrix([[Fraction(next(it)) for _ in range(n)] for _ in range(m)])
 
 
 def _format_rat(x: Fraction) -> str:

@@ -23,17 +23,6 @@ from .linalg import (
 )
 
 
-def rpiv(k: int, h: Matrix, n1: int) -> int:
-    """Largest 1-based rational column with a non-zero entry in rows 1..k.
-
-    Returns 0 when all rational columns are zero there.
-    """
-    for j in range(min(n1, h.n), 0, -1):
-        if any(h.rows[i][j - 1] for i in range(min(k, h.m))):
-            return j
-    return 0
-
-
 def batch_mehnf(d: Matrix, n1: int,
                 ride: Matrix | None = None) -> tuple[Matrix, TransformMatrix, tuple[int, ...]]:
     """Construct the MEHNF of d after a suitable row permutation.

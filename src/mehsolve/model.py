@@ -49,7 +49,7 @@ class ConstraintSystem:
         user_perm: Optional[Sequence[int]] = None,
     ) -> None:
         self.matrix = matrix
-        self.bounds = [frac(b) for b in bounds]
+        self.bounds = [b if type(b) is Fraction else frac(b) for b in bounds]
         self.variables = list(variables)
         if matrix.n != len(self.variables):
             raise DimensionMismatchError("column count does not match variable count")

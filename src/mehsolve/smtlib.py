@@ -10,6 +10,11 @@ inequalities.  Strict comparisons are accepted only over all-integer
 atoms, where scaling to integer coefficients makes a one-unit tightening
 exact; strict atoms over rational variables are rejected as unsupported.
 
+Text is tokenized and nested into s-expressions in one pass.  Terms and
+rows are exact integers over one positive integer denominator each, the
+way the simplex tableau keeps its rows; ``Fraction`` entries are made only
+when ``system()`` assembles the matrix and bounds.
+
 The parser records declaration order so models are printed the way the
 input was written.  Rows appear in the order of the atoms they come from,
 so row indices in certificates refer to the input in reading order.
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -52,36 +56,39 @@ class Tok(NamedTuple):
 _TOKEN = re.compile(r"(\s*)([()]|;|[^\s();]+)")
 
 
-def _tokenize(text: str) -> list[Tok]:
-    """Tokens with 1-based line and column; only a line feed starts a line."""
-    toks = []
+def _read_sexprs(text: str) -> list:
+    """The top-level s-expressions of text: nested lists with Tok leaves.
+
+    Tokenizes and nests in one loop.  Tokens carry 1-based line and
+    column; only a line feed starts a line, and ``;`` comments out the rest
+    of its line.
+    """
+    out = []
+    stack = [out]
+    top = out
+    last = 0
     for line, chars in enumerate(text.split("\n"), 1):
         col = 1
         for space, tok in _TOKEN.findall(chars):
             if tok == ";":
                 break
             col += len(space)
-            toks.append(Tok(tok, line, col))
+            last = line
+            if tok == "(":
+                node = []
+                top.append(node)
+                stack.append(node)
+                top = node
+            elif tok == ")":
+                stack.pop()
+                if not stack:
+                    raise ParseError("unbalanced ')'", line, col)
+                top = stack[-1]
+            else:
+                top.append(Tok(tok, line, col))
             col += len(tok)
-    return toks
-
-
-def _read_sexprs(toks: list[Tok]):
-    out = []
-    stack = [out]
-    for tok in toks:
-        if tok.text == "(":
-            node = []
-            stack[-1].append(node)
-            stack.append(node)
-        elif tok.text == ")":
-            stack.pop()
-            if not stack:
-                raise ParseError("unbalanced ')'", tok.line, tok.col)
-        else:
-            stack[-1].append(tok)
     if len(stack) != 1:
-        raise ParseError("unbalanced '('", toks[-1].line if toks else 0, 0)
+        raise ParseError("unbalanced '('", last, 0)
     return out
 
 
@@ -93,33 +100,66 @@ def _pos(node) -> tuple[int, int]:
     return node.line, node.col
 
 
-@dataclass
 class _LinTerm:
-    coeffs: dict[str, Fraction]
-    const: Fraction
+    """The term (sum of coeffs[v] * v, plus const) / den, in integers.
 
-    def __add__(self, other):
-        coeffs = dict(self.coeffs)
+    ``den`` is positive.  A variable keeps its key once mentioned, even
+    when its coefficient cancels to zero.  Every term that ``_Parser._term``
+    returns is new and owned by its caller, so the operations below update
+    it in place.
+    """
+
+    __slots__ = ("coeffs", "const", "den")
+
+    def __init__(self, coeffs: dict[str, int], const: int, den: int = 1):
+        self.coeffs = coeffs
+        self.const = const
+        self.den = den
+
+    def add(self, other: "_LinTerm", sign: int = 1) -> None:
+        """self += sign * other, over the lcm of the two denominators."""
+        if other.den != self.den:
+            den = math.lcm(self.den, other.den)
+            up = den // self.den
+            self.scale(up, up)
+            sign *= den // other.den
+        coeffs = self.coeffs
         for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + v
-        return _LinTerm(coeffs, self.const + other.const)
+            coeffs[k] = coeffs.get(k, 0) + sign * v
+        self.const += sign * other.const
 
-    def __neg__(self):
-        return _LinTerm({k: -v for k, v in self.coeffs.items()}, -self.const)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, f: Fraction):
-        return _LinTerm({k: f * v for k, v in self.coeffs.items()}, f * self.const)
-
-
-_NUMERAL = re.compile(r"[0-9]+(\.[0-9]+)?")
+    def scale(self, p: int, q: int) -> None:
+        """self *= p / q, for q > 0."""
+        if p != 1:
+            coeffs = self.coeffs
+            for k in coeffs:
+                coeffs[k] *= p
+            self.const *= p
+        self.den *= q
 
 
-def _numeral(text: str) -> Optional[Fraction]:
-    """An SMT-LIB numeral or decimal; any other token is not a constant."""
-    return Fraction(text) if _NUMERAL.fullmatch(text) else None
+_NUMERAL = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
+
+
+def _numeral(tok: Tok) -> Optional[_LinTerm]:
+    """An SMT-LIB numeral or decimal; any other token is not a constant.
+
+    ``int`` refuses digit strings longer than the interpreter's limit
+    (``sys.get_int_max_str_digits``); such a numeral is a ParseError.  The
+    two digit runs of a decimal are converted apart, as ``Fraction`` does,
+    so a decimal is too long only when one of them is.
+    """
+    match = _NUMERAL.fullmatch(tok.text)
+    if match is None:
+        return None
+    whole, decimals = match.groups()
+    try:
+        if decimals is None:
+            return _LinTerm({}, int(whole))
+        scale = 10 ** len(decimals)
+        return _LinTerm({}, int(whole) * scale + int(decimals), scale)
+    except ValueError:
+        raise ParseError("numeral too long", tok.line, tok.col) from None
 
 
 class _Parser:
@@ -127,63 +167,62 @@ class _Parser:
         self.logic: Optional[str] = None
         self.decls: dict[str, VarKind] = {}
         self.order: list[str] = []
-        self.rows: list[tuple[dict[str, Fraction], Fraction]] = []
+        # (coeffs, const, den): the row sum(coeffs[v] * v) / den <= const / den.
+        self.rows: list[tuple[dict[str, int], int, int]] = []
 
     # -- commands -------------------------------------------------------
 
     def feed(self, node) -> None:
-        line, col = _pos(node)
         if not isinstance(node, list) or not node or isinstance(node[0], list):
-            raise ParseError("expected a command", line, col)
+            raise ParseError("expected a command", *_pos(node))
         head = node[0].text
         if head == "set-logic":
             if len(node) != 2 or isinstance(node[1], list):
-                raise ParseError("malformed set-logic", line, col)
+                raise ParseError("malformed set-logic", *_pos(node))
             logic = node[1].text
             if logic not in LOGICS:
-                raise UnsupportedConstructError(f"logic {logic}", line, col)
+                raise UnsupportedConstructError(f"logic {logic}", *_pos(node))
             self.logic = logic
         elif head in ("declare-fun", "declare-const"):
             self._declare(node, head)
         elif head == "assert":
             if len(node) != 2:
-                raise ParseError("assert takes one argument", line, col)
+                raise ParseError("assert takes one argument", *_pos(node))
             self._assert(node[1])
         elif head in ("check-sat", "exit", "get-model", "set-info", "set-option"):
             pass
         else:
-            raise UnsupportedConstructError(f"command {head}", line, col)
+            raise UnsupportedConstructError(f"command {head}", *_pos(node))
 
     def _declare(self, node, head) -> None:
-        line, col = _pos(node)
         if head == "declare-fun":
             if len(node) != 4 or isinstance(node[1], list) or node[2] != []:
                 raise UnsupportedConstructError(
-                    "declare-fun with arguments", line, col)
+                    "declare-fun with arguments", *_pos(node))
             name, sort = node[1].text, node[3]
         else:
             if len(node) != 3 or isinstance(node[1], list):
-                raise ParseError("malformed declare-const", line, col)
+                raise ParseError("malformed declare-const", *_pos(node))
             name, sort = node[1].text, node[2]
         if isinstance(sort, list) or sort.text not in ("Int", "Real"):
             raise UnsupportedConstructError(
                 f"sort {sort.text if not isinstance(sort, list) else '(...)'}",
-                line, col)
+                *_pos(node))
         if name in self.decls:
-            raise ParseError(f"variable {name} declared twice", line, col)
+            raise ParseError(f"variable {name} declared twice", *_pos(node))
         self.decls[name] = VarKind.INTEGER if sort.text == "Int" else VarKind.RATIONAL
         self.order.append(name)
 
     # -- assertions --------------------------------------------------------
 
     def _assert(self, expr) -> None:
-        line, col = _pos(expr)
         if isinstance(expr, Tok):
             if expr.text == "true":
                 return
-            raise UnsupportedConstructError(f"assertion {expr.text}", line, col)
+            raise UnsupportedConstructError(
+                f"assertion {expr.text}", expr.line, expr.col)
         if not expr or isinstance(expr[0], list):
-            raise ParseError("malformed assertion", line, col)
+            raise ParseError("malformed assertion", *_pos(expr))
         head = expr[0].text
         if head == "and":
             for sub in expr[1:]:
@@ -192,90 +231,97 @@ class _Parser:
         if head in ("<=", ">=", "=", "<", ">"):
             terms = [self._term(t) for t in expr[1:]]
             if len(terms) < 2:
-                raise ParseError(f"{head} needs two arguments", line, col)
+                raise ParseError(f"{head} needs two arguments", *_pos(expr))
             for a, b in zip(terms, terms[1:]):
-                self._atom(head, a, b, line)
+                self._atom(head, a, b, expr)
             return
-        raise UnsupportedConstructError(f"operator {head}", line, col)
+        raise UnsupportedConstructError(f"operator {head}", *_pos(expr))
 
-    def _atom(self, rel: str, a: _LinTerm, b: _LinTerm, line: int) -> None:
-        diff = a - b  # rel 0
-        coeffs, const = diff.coeffs, -diff.const
+    def _atom(self, rel: str, a: _LinTerm, b: _LinTerm, expr) -> None:
+        # A chain shares its middle terms between atoms: a and b stay intact.
+        diff = _LinTerm(dict(a.coeffs), a.const, a.den)
+        diff.add(b, -1)  # diff rel 0
+        coeffs, const, den = diff.coeffs, -diff.const, diff.den
+        rows = self.rows
         if rel == "<=":
-            self._add_row(coeffs, const)
+            rows.append((coeffs, const, den))
         elif rel == ">=":
-            self._add_row(_negate(coeffs), -const)
+            rows.append((_negate(coeffs), -const, den))
         elif rel == "=":
-            self._add_row(coeffs, const)
-            self._add_row(_negate(coeffs), -const)
+            rows.append((coeffs, const, den))
+            rows.append((_negate(coeffs), -const, den))
         else:
             sense = 1 if rel == "<" else -1
-            self._add_row(*self._tighten(coeffs, const, sense, line))
+            rows.append(self._tighten(coeffs, const, den, sense, expr))
 
-    def _tighten(self, coeffs, const, sense, line):
-        """Rewrite a strict atom over integers into a non-strict one."""
-        for name in coeffs:
-            if coeffs[name] and self.decls[name] is not VarKind.INTEGER:
+    def _tighten(self, coeffs, const, den, sense, expr):
+        """Rewrite a strict atom over integers into a non-strict one.
+
+        With g = gcd(den, *coeffs), sum(coeffs / g * v) < const / g has
+        coprime integer coefficients, so over integers it is the same as
+        sum(coeffs / g * v) <= ceil(const / g) - 1.
+        """
+        for name, c in coeffs.items():
+            if c and self.decls[name] is not VarKind.INTEGER:
                 raise UnsupportedConstructError(
                     "strict comparison over rational variables "
-                    "(delta-rationals are not implemented)", line, 0)
+                    "(delta-rationals are not implemented)", _pos(expr)[0], 0)
         if sense < 0:
             coeffs, const = _negate(coeffs), -const
-        scale = math.lcm(*(c.denominator for c in coeffs.values())) if coeffs else 1
-        scaled = {k: c * scale for k, c in coeffs.items()}
-        bound = Fraction(math.ceil(const * scale) - 1)
-        return scaled, bound
-
-    def _add_row(self, coeffs, const) -> None:
-        self.rows.append((coeffs, Fraction(const)))
+        g = math.gcd(den, *coeffs.values())
+        return {k: c // g for k, c in coeffs.items()}, -(-const // g) - 1, 1
 
     # -- terms ---------------------------------------------------------------
 
     def _term(self, node) -> _LinTerm:
         if isinstance(node, Tok):
-            num = _numeral(node.text)
+            num = _numeral(node)
             if num is not None:
-                return _LinTerm({}, num)
+                return num
             if node.text in self.decls:
-                return _LinTerm({node.text: Fraction(1)}, Fraction(0))
+                return _LinTerm({node.text: 1}, 0)
             raise ParseError(f"undeclared variable {node.text}", node.line, node.col)
-        line, col = _pos(node)
         if not node or isinstance(node[0], list):
-            raise ParseError("malformed term", line, col)
+            raise ParseError("malformed term", *_pos(node))
         head = node[0].text
         args = [self._term(t) for t in node[1:]]
         if head == "+":
-            out = _LinTerm({}, Fraction(0))
+            out = _LinTerm({}, 0)
             for t in args:
-                out = out + t
+                out.add(t)
             return out
         if head == "-":
             if not args:
-                raise ParseError("- takes at least one argument", line, col)
-            if len(args) == 1:
-                return -args[0]
+                raise ParseError("- takes at least one argument", *_pos(node))
             out = args[0]
+            if len(args) == 1:
+                out.scale(-1, 1)
             for t in args[1:]:
-                out = out - t
+                out.add(t, -1)
             return out
         if head == "*":
-            out = _LinTerm({}, Fraction(1))
+            out = _LinTerm({}, 1)
             for t in args:
                 if not t.coeffs:
-                    out = out.scale(t.const)
+                    out.scale(t.const, t.den)
                 elif out.coeffs:
-                    raise UnsupportedConstructError("non-linear product", line, col)
+                    raise UnsupportedConstructError("non-linear product", *_pos(node))
                 else:
-                    out = t.scale(out.const)
+                    t.scale(out.const, out.den)
+                    out = t
             return out
         if head == "/":
             if len(args) != 2:
-                raise ParseError("/ takes two arguments", line, col)
+                raise ParseError("/ takes two arguments", *_pos(node))
             num, den = args
             if den.coeffs or den.const == 0:
-                raise UnsupportedConstructError("division by a non-constant", line, col)
-            return num.scale(1 / den.const)
-        raise UnsupportedConstructError(f"term operator {head}", line, col)
+                raise UnsupportedConstructError(
+                    "division by a non-constant", *_pos(node))
+            # num / (p / q) = num * q / p, with the sign of p moved onto q.
+            p = den.const
+            num.scale(den.den if p > 0 else -den.den, abs(p))
+            return num
+        raise UnsupportedConstructError(f"term operator {head}", *_pos(node))
 
     # -- assembly ----------------------------------------------------------------
 
@@ -286,15 +332,22 @@ class _Parser:
         col_of = {n: j for j, n in enumerate(internal)}
         variables = [VarInfo(n, self.decls[n]) for n in internal]
         user_perm = [col_of[n] for n in self.order]
-        rows = []
+        # The only Fractions of a parse: one per distinct (value, den).
+        cache: dict[tuple[int, int], Fraction] = {}
+
+        def rat(c: int, den: int) -> Fraction:
+            x = cache.get((c, den))
+            if x is None:
+                x = cache[c, den] = Fraction(c, den)
+            return x
+
+        matrix = Matrix.zeros(len(self.rows), len(internal))
         bounds = []
-        for coeffs, const in self.rows:
-            row = [Fraction(0)] * len(internal)
+        for row, (coeffs, const, den) in zip(matrix.rows, self.rows):
             for name, c in coeffs.items():
-                row[col_of[name]] = c
-            rows.append(row)
-            bounds.append(const)
-        matrix = Matrix(rows) if rows else Matrix.zeros(0, len(internal))
+                if c:
+                    row[col_of[name]] = rat(c, den)
+            bounds.append(rat(const, den))
         return ConstraintSystem(matrix, bounds, variables, user_perm)
 
 
@@ -305,7 +358,7 @@ def _negate(coeffs):
 def parse(text: str) -> ConstraintSystem:
     """Parse an SMT-LIB subset problem into a constraint system."""
     parser = _Parser()
-    for node in _read_sexprs(_tokenize(text)):
+    for node in _read_sexprs(text):
         try:
             parser.feed(node)
         except RecursionError:

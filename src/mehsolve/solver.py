@@ -29,6 +29,7 @@ source row is combined from target rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from .model import (
     TriviallyUnsat,
     Unsat,
     VarInfo,
+    VarKind,
     check_certificate,
     check_model,
     normalize,
@@ -585,26 +587,35 @@ def _solve_inner(norm, opts, stats, deadline) -> SolveResult:
     stats.transform_seconds = time.monotonic() - t0
     h_top = Matrix(h.rows[:top.m])
     moved = ConstraintSystem(Matrix(h.rows[top.m:]) if ride.m else Matrix.zeros(0, norm.n),
-                             ride.bounds, _y_variables(norm))
+                             ride.bounds, _y_variables(norm.n1, norm.n))
     if sp is None:
         tsys, unbounded = moved, None
-        row_map = [{i: 1} for i in range(norm.m)]
     else:
         upper = [sp.bounded.bounds[i] for i in row_perm]
         lower = [sp.lower[i] for i in row_perm]
         tsys, unbounded = transformed_system(norm, h_top, lower, upper), moved
-        # Upper rows map straight onto the original rows; implied lower-bound
-        # rows expand through the split's dual multipliers.
-        origin = sp.bounded_origin
-        row_map = [{origin[i]: 1} for i in row_perm] + [
-            {origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w} for i in row_perm]
 
     res = branch_and_bound(tsys, opts, stats, deadline)
     if isinstance(res, Sat):
         return Sat(mixed_extension(v, h_top, res.model, unbounded), stats)
     if isinstance(res, Unsat):
+        row_map = _row_map(norm.m, sp, row_perm)
         return Unsat(convert_certificate(row_map, v, res.certificate, norm), stats)
     return res
+
+
+def _row_map(m: int, sp, row_perm) -> list[dict[int, Fraction]]:
+    """The rows of norm (m rows) that imply each branch-and-bound row.
+
+    Without a split, row i is norm's row i times V.  After a split, upper
+    rows map straight onto the original rows; implied lower-bound rows
+    expand through the split's dual multipliers.
+    """
+    if sp is None:
+        return [{i: 1} for i in range(m)]
+    origin = sp.bounded_origin
+    return [{origin[i]: 1} for i in row_perm] + [
+        {origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w} for i in row_perm]
 
 
 def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> ConstraintSystem:
@@ -613,12 +624,19 @@ def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> Const
     for i, r in enumerate(h.rows):
         rows.append([-c for c in r])
         bounds.append(-lower[i])
-    return ConstraintSystem(Matrix(rows), bounds, _y_variables(norm))
+    return ConstraintSystem(Matrix(rows), bounds, _y_variables(norm.n1, norm.n))
 
 
-def _y_variables(norm: ConstraintSystem) -> list[VarInfo]:
-    """The variables y = V^-1 x of a transformed system, typed like x."""
-    return [VarInfo(f"y{j}", var.kind) for j, var in enumerate(norm.variables)]
+@functools.lru_cache(maxsize=64)
+def _y_variables(n1: int, n: int) -> tuple[VarInfo, ...]:
+    """The variables y = V^-1 x of a transformed system, typed like x.
+
+    x has n1 rational columns, then integer ones.  Cached by that shape:
+    building the frozen VarInfos anew cost a solve of a 5-variable system
+    about as much as its normalize phase.
+    """
+    return tuple(VarInfo(f"y{j}", VarKind.RATIONAL if j < n1 else VarKind.INTEGER)
+                 for j in range(n))
 
 
 def _finalize(original, kept, res) -> SolveResult:

@@ -116,3 +116,26 @@ def nested_sum(depth: int) -> str:
     """SMT-LIB text asserting ``(+ (+ ... x)) <= 0``, depth levels deep."""
     return ("(declare-fun x () Int)(assert (<= " + "(+ " * depth + "x"
             + ")" * depth + " 0))")
+
+
+def rpiv(k: int, h: Matrix, n1: int) -> int:
+    """Largest 1-based rational column with a non-zero entry in rows 1..k.
+
+    Returns 0 when all rational columns are zero there.
+    """
+    for j in range(min(n1, h.n), 0, -1):
+        if any(h.rows[i][j - 1] for i in range(min(k, h.m))):
+            return j
+    return 0
+
+
+def parse_matrix(text: str) -> Matrix:
+    toks = text.split()
+    if len(toks) < 2:
+        raise ValueError("matrix text must start with 'm n'")
+    m, n = int(toks[0]), int(toks[1])
+    entries = toks[2:]
+    if len(entries) != m * n:
+        raise ValueError(f"expected {m * n} entries, found {len(entries)}")
+    it = iter(entries)
+    return Matrix([[Fraction(next(it)) for _ in range(n)] for _ in range(m)])

@@ -13,7 +13,7 @@ from mehsolve.analysis import Verdict, classify, split
 from mehsolve.bruteforce import brute_force_solve
 from mehsolve.generators import gen_slack
 from mehsolve.linalg import Matrix, is_mctm, is_mehnf
-from mehsolve.mehnf import batch_mehnf, rpiv
+from mehsolve.mehnf import batch_mehnf
 from mehsolve.model import (
     Budget,
     ConstraintSystem,
@@ -36,7 +36,7 @@ from mehsolve.solver import (
 )
 
 import corpus
-from helpers import transform_split
+from helpers import rpiv, transform_split
 
 _SUITE_STARTED = time.monotonic()
 

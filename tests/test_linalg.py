@@ -15,11 +15,10 @@ from mehsolve.linalg import (
     is_lower_triangular_with_gaps,
     is_mctm,
     is_mehnf,
-    parse_matrix,
     piv,
 )
 
-from helpers import matrices, mctms, small_fractions
+from helpers import matrices, mctms, parse_matrix, small_fractions
 
 
 class TestPiv:

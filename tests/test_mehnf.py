@@ -13,9 +13,9 @@ from mehsolve.linalg import (
     reduce_left_int,
     reduce_right_int,
 )
-from mehsolve.mehnf import batch_mehnf, rpiv
+from mehsolve.mehnf import batch_mehnf
 
-from helpers import small_fractions, small_ints
+from helpers import rpiv, small_fractions, small_ints
 
 
 class TestPivHelpers:
