@@ -4,9 +4,14 @@ A direction h is bounded in a feasible system A x <= b exactly when
 h . r = 0 for every r of the recession cone A x <= 0.  The bounded rows
 are thus the implicit equalities of the cone, and the bounded variables
 those whose unit vector lies in the span of these rows (Schrijver, *Theory
-of Linear and Integer Programming*, 1986, section 8.2; Bromberger and
-Weidenbach, "New techniques for linear arithmetic: cubes and equalities",
-FMSD 2017).  Splitting moves the bounded rows into a double-bounded part,
+of Linear and Integer Programming*, 1986, section 8.2).  ``classify``
+finds the equalities on the tableau that decided feasibility: it bounds
+the rows not yet known to be equalities by a_i . x <= -1, and each
+conflict's Farkas multipliers name new equalities until a point is strict
+on all other rows (the equality detection of Bromberger and Weidenbach,
+"New techniques for linear arithmetic: cubes and equalities", FMSD 2017,
+on the bound-separated simplex of Dutertre and de Moura, CAV 2006).
+Splitting moves the bounded rows into a double-bounded part,
 computing an explicit lower bound for each row of that part together with
 the dual multipliers that derive it (needed later to convert certificates
 that lean on the implied lower bounds).
@@ -15,17 +20,20 @@ that lean on the implied lower bounds).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, column_reduce
-from .model import ConstraintSystem, VarInfo, VarKind
+from . import simplex
+from .linalg import column_reduce
+from .model import ConstraintSystem, check_certificate
 from .simplex import (
-    Infeasible, Optimal, UnboundedDirection, check_feasible, optimize, optimize_each)
+    Infeasible, Optimal, SimplexInstance, UnboundedDirection, _certified,
+    atoms_to_certificate, check_feasible, optimize, optimize_each)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class InfeasibleSystemError(ValueError):
@@ -108,27 +116,28 @@ def is_direction_bounded(sys: ConstraintSystem, h: Sequence[Fraction]) -> bool:
 def classify(sys: ConstraintSystem) -> Classification:
     """Determine which rows and variables are bounded, and the verdict.
 
-    A system in which a single-variable row bounds every variable from
-    above and another one from below is boxed: its recession cone is {0},
-    so every row and every variable is bounded, and no LP beyond the
-    feasibility check is needed.  Otherwise one LP finds the implicit
-    equalities of the cone A x <= 0: maximize sum t_i subject to
-    a_i . x + t_i <= 0 and 0 <= t_i <= 1.  At every optimum t_i is 0 on
-    them and 1 on every other row (a relative interior point of the cone,
-    scaled up, is strict on all others at once).  A variable is bounded
+    One tableau of sys serves the whole classification.  Its first check
+    decides rational feasibility.  A system in which a single-variable row
+    bounds every variable from above and another one from below is boxed:
+    its recession cone is {0}, so every row and every variable is bounded,
+    and nothing more is checked.  Otherwise the same tableau, from the
+    basis the feasibility check left, finds the implicit equalities of the
+    cone A x <= 0 (see ``_cone_equalities``).  A variable is bounded
     exactly when its coordinate vanishes on the null space of those rows,
     which one ``column_reduce`` yields.  The LP probe
     ``is_direction_bounded`` decides one direction at a time instead.  A
     BOUNDED verdict also reports the explicit equalities, which ``solve``
     sends through the MEHNF.
     """
-    feas = check_feasible(sys)
-    if isinstance(feas, Infeasible):
-        raise InfeasibleSystemError(feas.certificate)
+    # Through the module attribute, so that wrappers of it see this tableau.
+    inst = simplex.instance_for(sys)
+    conflict = inst.check()
+    if conflict is not None:
+        raise InfeasibleSystemError(_certified(sys, conflict).certificate)
     if sys.n and _is_boxed(sys):
         bounded_rows, bounded_vars = range(sys.m), frozenset(range(sys.n))
     else:
-        bounded_rows = _implicit_equalities(sys) if sys.m else []
+        bounded_rows = _cone_equalities(sys, inst)
         _, v, pivot_rows = column_reduce(sys.subset(bounded_rows).matrix)
         bounded_vars = frozenset(
             j for j in range(sys.n) if not any(v.rows[j][len(pivot_rows):]))
@@ -174,24 +183,54 @@ def _equality_rows(sys: ConstraintSystem) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _implicit_equalities(sys: ConstraintSystem) -> list[int]:
-    """The rows i with t_i = 0 at an optimum of the cone LP (see classify)."""
-    m, n = sys.m, sys.n
-    rows, bounds = [], []
-    for i, a in enumerate(sys.matrix.rows):
-        t = [_ZERO] * m
-        t[i] = _ONE
-        rows += [list(a) + t, [_ZERO] * n + [-c for c in t], [_ZERO] * n + t]
-        bounds += [_ZERO, _ZERO, _ONE]
-    names = [f"x{j}" for j in range(n)] + [f"t{i}" for i in range(m)]
-    lp = ConstraintSystem(Matrix(rows), bounds, [VarInfo(v, VarKind.RATIONAL) for v in names])
-    res = optimize(lp, [_ZERO] * n + [_ONE] * m, "max")
-    if not isinstance(res, Optimal):
-        raise AssertionError("recession cone LP is not optimal; simplex bug")
-    t = res.point[n:]
-    if any(ti not in (_ZERO, _ONE) for ti in t) or res.value != sum(t):
-        raise AssertionError("recession cone LP optimum is not 0/1 in t; simplex bug")
-    return [i for i, ti in enumerate(t) if not ti]
+def _cone_equalities(sys: ConstraintSystem, inst: SimplexInstance) -> list[int]:
+    """The implicit equalities of the cone A x <= 0, on sys's tableau inst.
+
+    Rows known to be equalities are bounded by a_i . x <= 0, all others by
+    a_i . x <= -1.  A conflict's multipliers y >= 0 have y A = 0, so every
+    row they touch is an equality of the cone: it joins the known ones and
+    the tableau is checked again from its current basis.  A feasible point
+    is strict on every row not known, so none of them is an equality.  The
+    known rows start as the zero rows and the rows whose normal is a
+    negative multiple of another row's.  Both outcomes are checked against
+    sys, in every build mode.
+    """
+    known = _opposite_normals(sys)
+    while True:
+        cone = [_ZERO if i in known else _MINUS_ONE for i in range(sys.m)]
+        inst.set_row_bounds(cone)
+        conflict = inst.check()
+        if conflict is None:
+            break
+        cert = atoms_to_certificate(conflict, sys.m)
+        # y b < 0 for these bounds: y >= 0, y A = 0, and some new row in y.
+        if not check_certificate(
+                ConstraintSystem(sys.matrix, cone, sys.variables, sys.user_perm), cert):
+            raise AssertionError("recession cone conflict is not a certificate; simplex bug")
+        known.update(i for i, y in enumerate(cert.y) if y)
+    values = sys.matrix.mul_vec(inst.assignment())
+    if any(v > b for v, b in zip(values, cone)):
+        raise AssertionError("recession cone point violates a row; simplex bug")
+    return sorted(known)
+
+
+def _opposite_normals(sys: ConstraintSystem) -> set[int]:
+    """The zero rows and each row whose normal is a negative multiple of another's."""
+    # Keyed by each row's primitive integer normal: hashing Fractions is
+    # slower, and their tuples take more memory.
+    keys = []
+    for row in sys.matrix.rows:
+        ints = [a.numerator for a in row]
+        scale = math.lcm(*[a.denominator for a in row])
+        if scale != 1:
+            ints = [a.numerator * (scale // a.denominator) for a in row]
+        g = math.gcd(*ints)
+        if g > 1:
+            ints = [p // g for p in ints]
+        keys.append(tuple(ints) if g else None)
+    present = set(keys)
+    return {i for i, key in enumerate(keys)
+            if key is None or tuple([-p for p in key]) in present}
 
 
 def split(sys: ConstraintSystem, cls: Classification) -> SplitSystem:

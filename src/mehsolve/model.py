@@ -34,11 +34,12 @@ class ConstraintSystem:
     """A conjunction of non-strict inequalities A x <= b over typed variables.
 
     Variables are kept in internal column order: all rational variables
-    first, integer variables after them.  ``user_perm[k]`` is the internal
-    column of the k-th variable in user declaration order, so output can be
-    presented the way the input was written.  A system carries no row
-    provenance: code that derives one system from another keeps the row
-    indices it needs to map results back (see ``normalize`` and ``split``).
+    first (``n1`` of them), integer variables after them.  ``user_perm[k]``
+    is the internal column of the k-th variable in user declaration order,
+    so output can be presented the way the input was written.  A system
+    carries no row provenance: code that derives one system from another
+    keeps the row indices it needs to map results back (see ``normalize``
+    and ``split``).
     """
 
     def __init__(
@@ -59,11 +60,15 @@ class ConstraintSystem:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         seen_integer = False
+        n1 = 0
         for v in self.variables:
             if v.kind is VarKind.INTEGER:
                 seen_integer = True
             elif seen_integer:
                 raise ValueError("variables must be ordered rationals first, then integers")
+            else:
+                n1 += 1
+        self.n1 = n1
         self.user_perm = tuple(user_perm) if user_perm is not None else tuple(range(matrix.n))
         if sorted(self.user_perm) != list(range(matrix.n)):
             raise ValueError("user_perm must be a permutation of the columns")
@@ -75,10 +80,6 @@ class ConstraintSystem:
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    @property
-    def n1(self) -> int:
-        return sum(1 for v in self.variables if v.kind is VarKind.RATIONAL)
 
     @property
     def n2(self) -> int:

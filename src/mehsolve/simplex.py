@@ -5,8 +5,11 @@ solvers: every row, added once, either tightens a native bound on a
 variable (single-variable rows) or introduces a slack variable whose
 defining equation joins the tableau and whose upper bound carries the
 row's constant.  The rows stay; only bounds (branch-and-bound's branch
-bounds) are pushed and popped.  Feasibility repair pivots with Bland's
-rule, so every call terminates; all arithmetic is exact.
+bounds) are pushed and popped.  The instance remembers which variable
+carries each row, so the constants of all rows can also be replaced at
+once, keeping the basis (``classify`` moves from A x <= b to its
+recession cone that way).  Feasibility repair pivots with Bland's rule,
+so every call terminates; all arithmetic is exact.
 
 The tableau is fraction-free (integer-preserving elimination): each row is
 a dict of integer coefficients over one positive integer denominator,
@@ -108,6 +111,13 @@ class SimplexInstance:
     feasibility and optimization answers always reflect the rows and the
     bounds on the stack.
 
+    ``_rows`` maps each added row to the variable that carries it: row
+    ``coeffs . x <= b`` is ``c * x_var <= b``, where ``x_var`` is the row's
+    one variable with its coefficient c, or a slack ``x_var = coeffs . x``
+    with c = 1 (``var`` is None for a zero row).  With that map,
+    ``set_row_bounds`` replaces the bound of every row at once, on an empty
+    stack; it is the only operation that can loosen a bound.
+
     The tableau is fraction-free: basic variable ``bv`` is defined by
     ``_den[bv] * x_bv = sum(c * x_k for k, c in _tab[bv].items())`` over
     non-basic ``x_k``, with integer ``c``, no stored zero, a positive
@@ -125,6 +135,7 @@ class SimplexInstance:
         self._tab: dict[int, dict[int, int]] = {}
         self._den: dict[int, int] = {}
         self._trail: list[tuple] = []
+        self._rows: list[tuple[Optional[int], Fraction, BoundSource]] = []
         self._dead: Optional[BoundSource] = None
         self.pivots = 0
 
@@ -137,15 +148,31 @@ class SimplexInstance:
             raise ValueError("rows must be added before any bound is pushed")
         support = [(j, c) for j, c in enumerate(coeffs) if c]
         if not support:
-            if b < 0:
-                self._dead = BoundSource(kind, index)
-            return
-        if len(support) == 1:
-            j, c = support[0]
-            self._tighten(j, "up" if c > 0 else "lo", b / c, BoundSource(kind, index, abs(c)))
-            return
-        s = self._alloc_slack(support)
-        self._up[s] = (b, BoundSource(kind, index))
+            var, c = None, _ONE
+        elif len(support) == 1:
+            var, c = support[0]
+        else:
+            var, c = self._alloc_slack(support), _ONE
+        row = (var, c, BoundSource(kind, index, abs(c)))
+        self._rows.append(row)
+        self._bound_row(row, b)
+
+    def set_row_bounds(self, bounds: Sequence[Fraction]) -> None:
+        """Give the k-th added row the bound bounds[k], in place of its own.
+
+        The rows, the basis and the assignment stay; every bound is
+        rebuilt from the rows, so a bound may loosen.  Only allowed while
+        the bound stack is empty.
+        """
+        if self._trail:
+            raise ValueError("row bounds can only be replaced on an empty bound stack")
+        if len(bounds) != len(self._rows):
+            raise ValueError("one bound per added row is needed")
+        self._lo = [None] * len(self._lo)
+        self._up = [None] * len(self._up)
+        self._dead = None
+        for row, b in zip(self._rows, bounds):
+            self._bound_row(row, b)
 
     def push_bound(self, var: int, side: str, value: Fraction,
                    kind: str, index: int) -> None:
@@ -161,6 +188,18 @@ class SimplexInstance:
         (self._up if side == "up" else self._lo)[var] = old
 
     # -- internals -------------------------------------------------------
+
+    def _bound_row(self, row, b: Fraction) -> None:
+        """Bound row (var, c, src), c * x_var = coeffs . x, by b.
+
+        A slack's c is ``_ONE`` itself, so its bound needs no division.
+        """
+        var, c, src = row
+        if var is None:
+            if b < 0:
+                self._dead = src
+        else:
+            self._tighten(var, "up" if c > 0 else "lo", b if c is _ONE else b / c, src)
 
     def _tighten(self, var, side, value, src):
         """Keep the tighter of value and var's bound on side; return the old bound."""

@@ -619,11 +619,10 @@ def _row_map(m: int, sp, row_perm) -> list[dict[int, Fraction]]:
 
 
 def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> ConstraintSystem:
-    rows = [list(r) for r in h.rows]
-    bounds = list(upper)
-    for i, r in enumerate(h.rows):
-        rows.append([-c for c in r])
-        bounds.append(-lower[i])
+    # Most entries of h are zero, and negating a Fraction costs more than
+    # testing it.
+    rows = h.rows + [[-c if c else c for c in r] for r in h.rows]
+    bounds = list(upper) + [-b for b in lower]
     return ConstraintSystem(Matrix(rows), bounds, _y_variables(norm.n1, norm.n))
 
 

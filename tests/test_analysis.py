@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mehsolve.analysis as analysis
+import mehsolve.simplex as simplex
 from mehsolve.analysis import (
     InfeasibleSystemError,
     Verdict,
@@ -15,7 +16,7 @@ from mehsolve.analysis import (
 from mehsolve.generators import GenParams, gen_random_unbounded
 from mehsolve.linalg import Matrix
 from mehsolve.model import ConstraintSystem, VarInfo, VarKind
-from mehsolve.simplex import Feasible, Infeasible, Optimal, UnboundedDirection, check_feasible
+from mehsolve.simplex import Feasible, Infeasible, Optimal, SimplexInstance, check_feasible
 
 from helpers import mk_system, systems
 
@@ -107,8 +108,37 @@ BOX_MISSING_ONE_SIDE = mk_system(
     [3, 1, 4, -1, 0, 5], "qz")
 
 
-def _no_lp(*args):
-    raise RuntimeError("unexpected cone LP")
+# No two normals are opposite: only a conflict of the cone check shows
+# that all three rows are equalities.
+CYCLE = mk_system([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [0, 0, 0], "qqq")
+# All three rows are equalities; the conflict runs through 2 x <= -1, a
+# bound that stands for its row at scale 2.
+SCALED_SINGLES = mk_system([[2, 0], [-1, -1], [0, 1]], [2, 1, 3], "qz")
+
+
+def _cone_checks(monkeypatch):
+    """Record each replacement of the row bounds, that is each cone check."""
+    calls = []
+    real = SimplexInstance.set_row_bounds
+    monkeypatch.setattr(SimplexInstance, "set_row_bounds",
+                        lambda inst, bounds: calls.append(list(bounds)) or real(inst, bounds))
+    return calls
+
+
+class _CorruptCone(SimplexInstance):
+    """A tableau whose checks on the cone report what ``corrupt`` makes of them."""
+
+    corrupt = None
+    on_cone = False
+
+    def set_row_bounds(self, bounds):
+        self.on_cone = True
+        super().set_row_bounds(bounds)
+
+    def check(self):
+        if self.on_cone:
+            return self.corrupt(super().check)
+        return super().check()
 
 
 class TestClassify:
@@ -131,21 +161,53 @@ class TestClassify:
             j for j, e in enumerate(units) if is_direction_bounded(sys, e))
 
     def test_boxed_system_makes_no_cone_lp(self, monkeypatch):
-        monkeypatch.setattr(analysis, "optimize", _no_lp)
+        checks = _cone_checks(monkeypatch)
         cls = classify(BOXED_WITH_ROWS)
+        assert checks == []
         assert cls.verdict is Verdict.BOUNDED
         assert cls.bounded_rows == frozenset(range(7))
         assert cls.bounded_vars == frozenset({0, 1})
         assert cls.equalities == (2,)
 
     def test_missing_box_side_makes_the_cone_lp(self, monkeypatch):
-        with pytest.raises(RuntimeError, match="unexpected cone LP"):
-            with monkeypatch.context() as patched:
-                patched.setattr(analysis, "optimize", _no_lp)
-                classify(BOX_MISSING_ONE_SIDE)
+        checks = _cone_checks(monkeypatch)
         cls = classify(BOX_MISSING_ONE_SIDE)
+        # Rows 1 and 3, and rows 2 and 4, have opposite normals; one
+        # conflict each finds rows 0 and 5.
+        assert checks == [[-1, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, -1], [0] * 6]
         assert cls.verdict is Verdict.BOUNDED
+        assert cls.bounded_rows == frozenset(range(6))
         assert cls.equalities == (1,)
+
+    def test_cycle_is_found_by_a_conflict(self, monkeypatch):
+        assert analysis._opposite_normals(CYCLE) == set()
+        checks = _cone_checks(monkeypatch)
+        cls = classify(CYCLE)
+        assert checks == [[-1, -1, -1], [0, 0, 0]]
+        assert cls.verdict is Verdict.PARTIALLY_UNBOUNDED
+        assert cls.bounded_rows == frozenset(range(3))
+        assert cls.bounded_vars == frozenset()
+
+    def test_conflict_through_scaled_single_variable_rows(self):
+        cls = classify(SCALED_SINGLES)
+        assert cls.verdict is Verdict.BOUNDED
+        assert cls.bounded_rows == frozenset(range(3))
+        assert cls.bounded_vars == frozenset({0, 1})
+        assert cls.equalities == ()
+
+    def test_empty_system(self):
+        cls = classify(NO_ROWS)
+        assert cls.verdict is Verdict.ABSOLUTELY_UNBOUNDED
+        assert cls.bounded_rows == cls.bounded_vars == frozenset()
+
+    def test_zero_row_is_an_equality(self):
+        cls = classify(mk_system([[0, 0], [1, 1]], [1, 5], "qz"))
+        assert cls.verdict is Verdict.PARTIALLY_UNBOUNDED
+        assert cls.bounded_rows == frozenset({0})
+        assert cls.bounded_vars == frozenset()
+        with pytest.raises(InfeasibleSystemError) as exc:
+            classify(mk_system([[0, 0], [1, 1]], [-1, 5], "qz"))
+        assert exc.value.certificate.y == [1, 0]
 
     def test_equalities_are_exact_opposite_pairs(self):
         # Row 3 is row 0 scaled, not its opposite; row 4 repeats row 0's
@@ -163,18 +225,24 @@ class TestClassify:
         assert cls.bounded_vars == frozenset({0, 1})
 
     @pytest.mark.parametrize("result", [
-        Infeasible(None),
-        UnboundedDirection([Fraction(1), Fraction(0), Fraction(0), Fraction(0)]),
-        # t_0 = 1/2 is neither 0 nor 1.
-        Optimal(Fraction(1), [Fraction(0)] * 2 + [Fraction(1, 2)] * 2, [Fraction(0)] * 6),
-        # The value is not the sum of the t_i.
-        Optimal(Fraction(2), [Fraction(0)] * 3 + [Fraction(1)], [Fraction(0)] * 6),
+        # y A != 0: one multiplier doubled.
+        ("conflict", lambda check: [(src, 2 * y if k == 0 else y)
+                                    for k, (src, y) in enumerate(check())]),
+        # A negative multiplier.
+        ("conflict", lambda check: [(src, -y if k == 0 else y)
+                                    for k, (src, y) in enumerate(check())]),
+        # y = 0 touches no new row.
+        ("conflict", lambda check: []),
+        # Feasible without repair: the point is not strict on every row.
+        ("point", lambda check: None),
     ])
     def test_unexpected_cone_lp_result_raises(self, monkeypatch, result):
         # Explicit raises, not asserts: under python -O the checks stay.
-        monkeypatch.setattr(analysis, "optimize", lambda *args: result)
+        _, corrupt = result
+        monkeypatch.setattr(simplex, "SimplexInstance",
+                            type("Corrupt", (_CorruptCone,), {"corrupt": staticmethod(corrupt)}))
         with pytest.raises(AssertionError, match="simplex bug"):
-            classify(band_system())
+            classify(CYCLE)
 
     def test_unit_box(self):
         sys = mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "qq")

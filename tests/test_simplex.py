@@ -296,6 +296,44 @@ class TestPushPop:
                     assert check_certificate(full, FarkasCertificate(y))
 
 
+class TestSetRowBounds:
+    @given(systems(max_m=5, max_n=3), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    def test_answers_as_a_fresh_tableau(self, sys, new_bounds):
+        # From the basis the first check left, the replaced bounds, looser
+        # or tighter, decide exactly as a tableau built with them does.
+        inst = simplex.instance_for(sys)
+        inst.check()
+        moved = mk_system(sys.matrix.rows, new_bounds[: sys.m], "q" * sys.n)
+        inst.set_row_bounds(moved.bounds)
+        conflict = inst.check()
+        assert_tableau_invariants(inst)
+        assert (conflict is None) == isinstance(check_feasible(moved), Feasible)
+        if conflict is None:
+            lhs = moved.matrix.mul_vec(inst.assignment())
+            assert all(v <= b for v, b in zip(lhs, moved.bounds))
+        else:
+            assert check_certificate(moved, simplex.atoms_to_certificate(conflict, sys.m))
+
+    def test_loosens_a_bound(self):
+        inst = SimplexInstance(1)
+        inst.add_row([Fraction(2)], Fraction(-2), "row", 0)
+        inst.add_row([Fraction(-1)], Fraction(0), "row", 1)
+        inst.add_row([Fraction(0)], Fraction(-1), "row", 2)
+        assert inst.check() is not None
+        inst.set_row_bounds([Fraction(4), Fraction(-1), Fraction(0)])
+        assert inst.check() is None
+        assert inst.assignment() == [1]
+
+    def test_needs_an_empty_stack_and_one_bound_per_row(self):
+        inst = SimplexInstance(1)
+        inst.add_row([Fraction(1)], Fraction(1), "row", 0)
+        with pytest.raises(ValueError):
+            inst.set_row_bounds([])
+        inst.push_bound(0, "lo", Fraction(0), "branch", 0)
+        with pytest.raises(ValueError):
+            inst.set_row_bounds([Fraction(2)])
+
+
 def assert_tableau_invariants(inst):
     """Every row: integers over a positive denominator, gcd 1, no zero, holds at beta."""
     beta = inst._beta
@@ -365,10 +403,12 @@ class TestGoldenPivots:
 
     Bland's rule picks every entering and leaving variable by sign and by
     exact ratio comparisons; any change in the values it sees, or in the
-    order it sees them, changes these totals.
+    order it sees them, changes these totals.  The classify-and-split
+    counts were recorded again when classify moved its cone check onto the
+    feasibility tableau.
     """
 
-    @pytest.mark.parametrize("n, pivots", [(8, 29), (12, 44)])
+    @pytest.mark.parametrize("n, pivots", [(8, 20), (12, 26)])
     def test_classify_and_split(self, monkeypatch, n, pivots):
         assert _lp_pivots_of_classify_and_split(monkeypatch, n) == pivots
 

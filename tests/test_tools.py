@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import mehsolve.simplex as simplex
+from mehsolve.analysis import Verdict, classify
 from mehsolve.bench import bench_directory, format_report
 from mehsolve.bruteforce import BoxTooLargeError, brute_force_solve
 from mehsolve.cli import main
+from mehsolve.generators import GenParams, gen_random_unbounded
 from mehsolve.model import Sat, check_model
 from mehsolve.smtlib import parse
 from mehsolve.solver import SolveOptions, VarBounds, solve
@@ -247,6 +250,23 @@ def test_benchmark_bindings_exist():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.TARGETS
                if attr not in vars(owner)]
     assert not missing
+
+
+@pytest.mark.parametrize("sys, verdict", [
+    (gen_random_unbounded(GenParams(seed=1, n_vars=8, n_bounded=4, n_unbounded=4)),
+     Verdict.PARTIALLY_UNBOUNDED),
+    (mk_system([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [4, 0, 4, 0, 5], "zz"),
+     Verdict.BOUNDED),
+])
+def test_classify_builds_one_tableau(monkeypatch, sys, verdict):
+    # Wrapped as the pivot counts of tests/test_simplex.py and
+    # scripts/identity_dump.py wrap it: feasibility and the cone's
+    # equalities share the one tableau they see.
+    built = []
+    real = simplex.instance_for
+    monkeypatch.setattr(simplex, "instance_for", lambda s: built.append(real(s)) or built[-1])
+    assert classify(sys).verdict is verdict
+    assert len(built) == 1
 
 
 def test_identity_dump_prints_one_line_per_instance():
