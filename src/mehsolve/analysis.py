@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .linalg import column_reduce
+from .linalg import column_reduce, int_row
 from .model import ConstraintSystem, check_certificate
 from .simplex import (
     Infeasible, Optimal, SimplexInstance, UnboundedDirection, _certified,
@@ -220,10 +220,7 @@ def _opposite_normals(sys: ConstraintSystem) -> set[int]:
     # slower, and their tuples take more memory.
     keys = []
     for row in sys.matrix.rows:
-        ints = [a.numerator for a in row]
-        scale = math.lcm(*[a.denominator for a in row])
-        if scale != 1:
-            ints = [a.numerator * (scale // a.denominator) for a in row]
+        ints, _ = int_row(row)
         g = math.gcd(*ints)
         if g > 1:
             ints = [p // g for p in ints]

@@ -1,32 +1,32 @@
 """Exact rational matrices and the normal forms behind the solver.
 
-Everything in this package computes over arbitrary-precision rationals
-(``fractions.Fraction``), which are always stored in canonical reduced form
-with a positive denominator, so equality is structural and no rounding can
-occur anywhere.
+Matrices hold arbitrary-precision rationals (``fractions.Fraction``),
+always in canonical reduced form with a positive denominator, so equality
+is structural and no rounding can occur anywhere.
 
-The module provides dense matrices with the column operations needed by the
-transformation pipeline, plus:
+The module provides dense matrices, plus:
 
 * ``piv`` and the shape predicates ``is_lower_triangular_with_gaps``,
   ``is_hermite_normal_form``, ``is_mehnf`` and ``is_mctm``,
-* the two column steps every normal form here is built from, each of which
-  acts on one pivot row of h and mirrors every column operation on v:
-  ``reduce_rat`` (swap, scale to 1, eliminate the rest of the row) and the
-  Euclidean step ``reduce_left_int`` (gcd reduction right of the pivot)
-  followed by ``reduce_right_int`` (reduction into ``[0, pivot)``),
-* ``column_reduce`` (invertible rational column reduction, a loop over
-  ``reduce_rat``) and ``hermite_normal_form`` (unimodular integer column
-  reduction, a loop over the Euclidean step, also valid for rational input
-  matrices), each on a column window: ``column_reduce`` pivots only in the
-  first ``cols`` columns, and ``hermite_normal_form`` can reduce an (h, u)
-  pair in place from (row0, col0) on; ``mehnf.batch_mehnf`` runs both on
-  one pair,
+* the two column reductions every normal form here is built from, each on
+  a column window: ``column_reduce`` (invertible rational column
+  reduction, pivoting only in the first ``cols`` columns) and
+  ``hermite_normal_form`` (unimodular integer column reduction, also valid
+  for rational input matrices, which can reduce an (h, u) pair in place
+  from (row0, col0) on); ``mehnf.batch_mehnf`` runs both on one pair,
 * exact inversion, which is ``column_reduce`` again: every row of an
   invertible matrix pivots in order and becomes the next unit row, so
   h = I and v is the inverse,
 * rank and determinant, by their own Gaussian elimination (the generator
   uses rank; the shape predicates and the tests use the determinant).
+
+The two reductions take and return Fraction matrices, but step on h
+stacked over v as integer rows with one positive denominator each
+(``int_row``), fraction-free as in Bareiss (Math. Comp. 1968): the
+Euclidean step (``_euclid``) only swaps, negates and adds integer
+multiples of columns, so no denominator changes, and the rational pivot
+(``_pivot``) cross-multiplies and divides each row it touches by its gcd.
+Their results are exactly those of the same steps on Fractions.
 
 Column indices in the public pivot helpers are 1-based to match the usual
 statement of the definitions; matrix entries themselves are addressed
@@ -50,10 +50,6 @@ class SingularMatrixError(ValueError):
     """Raised when a matrix that must be invertible is singular."""
 
 
-class GapPreconditionError(ValueError):
-    """A column step was called on a row with nothing to reduce."""
-
-
 def frac(value) -> Fraction:
     """Coerce ints, strings like ``p/q`` and Fractions to a Fraction."""
     if isinstance(value, Fraction):
@@ -64,12 +60,7 @@ def frac(value) -> Fraction:
 
 
 class Matrix:
-    """Dense matrix of Fractions with value semantics.
-
-    Mutating column operations (swaps, scalings, additions) are provided
-    for the normal-form algorithms; everything else treats matrices as
-    immutable values.
-    """
+    """Dense matrix of Fractions with value semantics."""
 
     __slots__ = ("m", "n", "rows")
 
@@ -140,32 +131,6 @@ class Matrix:
         if len(v) != self.n:
             raise ValueError("dimension mismatch in matrix-vector product")
         return [sum((a * x for a, x in zip(row, v) if a), _ZERO) for row in self.rows]
-
-    # -- column operations (in place) ---------------------------------
-
-    def col_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for row in self.rows:
-            row[i], row[j] = row[j], row[i]
-
-    def col_scale(self, j: int, factor: Fraction) -> None:
-        for row in self.rows:
-            if row[j]:
-                row[j] *= factor
-
-    def col_addmul(self, dst: int, src: int, factor: Fraction) -> None:
-        """column dst += factor * column src."""
-        if not factor:
-            return
-        for row in self.rows:
-            if row[src]:
-                row[dst] += factor * row[src]
-
-    def col_negate(self, j: int) -> None:
-        for row in self.rows:
-            if row[j]:
-                row[j] = -row[j]
 
     # -- derived quantities --------------------------------------------
 
@@ -336,89 +301,119 @@ def _has_mctm_blocks(v: Matrix, n1: int, n2: int) -> bool:
     return True
 
 
-def reduce_rat(h: Matrix, v: Matrix, p_row: int, p_col: int, j: int) -> None:
-    """Rational pivot step on row p_row.
+def int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row as (ints, den): integers over the lcm of its denominators.
 
-    Swaps column j into position p_col, scales it so the pivot becomes 1
-    and clears every other entry of the row by adding multiples of the
-    pivot column.  Requires a non-zero entry at (p_row, j).
+    row[k] == ints[k] / den, and gcd(den, *ints) == 1, since the entry with
+    the most factors of any prime in den has a numerator prime to it.
     """
-    h.col_swap(p_col, j)
-    v.col_swap(p_col, j)
-    row = h.rows[p_row]
-    pivot = row[p_col]
-    if pivot != 1:
-        inv = 1 / pivot
-        h.col_scale(p_col, inv)
-        v.col_scale(p_col, inv)
-    for k in range(h.n):
-        if k != p_col and row[k]:
-            f = -row[k]
-            h.col_addmul(k, p_col, f)
-            v.col_addmul(k, p_col, f)
+    den = math.lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
-def abstract_to_int(h: Matrix, v: Matrix, p_row: int, p_col: int):
-    """Sign-normalize columns right of the pivot and scale to integers.
+def _int_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    pairs = [int_row(row) for row in rows]
+    return [ints for ints, _ in pairs], [den for _, den in pairs]
 
-    Negates every column i >= p_col whose entry in the pivot row is
-    negative (in both h and v), computes the lcm c of the denominators of
-    the pivot row's entries from p_col on, and returns (c, s) where s maps
-    column index to the positive integer image entry * c.
+
+class _Fractions(dict):
+    """num -> Fraction(num, den), each value built on its first lookup."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int) -> None:
+        self.den = den
+
+    def __missing__(self, num: int) -> Fraction:
+        x = self[num] = Fraction(num, self.den)
+        return x
+
+
+def _store(nums: list[list[int]], dens: list[int], m: int, h: Matrix, v: Matrix) -> None:
+    """Write the first m integer rows into h and the others into v, as Fractions."""
+    cache: dict[int, _Fractions] = {}
+    rows = []
+    for ints, den in zip(nums, dens):
+        memo = cache.get(den)
+        if memo is None:
+            memo = cache[den] = _Fractions(den)
+        rows.append([memo[p] for p in ints])
+    h.rows, h.m = rows[:m], m
+    v.rows, v.m = rows[m:], len(rows) - m
+
+
+def _swap(nums: list[list[int]], i: int, j: int) -> None:
+    if i != j:
+        for row in nums:
+            row[i], row[j] = row[j], row[i]
+
+
+def _addmul(nums: list[list[int]], src: int, ops: list[tuple[int, int]]) -> None:
+    """Column j -= q * column src for every (j, q) in ops, j != src."""
+    if ops:
+        for row in nums:
+            x = row[src]
+            if x:
+                for j, q in ops:
+                    row[j] -= q * x
+
+
+def _pivot(nums: list[list[int]], dens: list[int], p: int, pc: int) -> None:
+    """Rational pivot step at (p, pc), on every row.
+
+    Divides column pc by the entry a = R_p[pc] / d_p and subtracts
+    R_p[k] / d_p times the new column pc from every other column k, so row
+    p becomes a unit row.  Each row i with R_i[pc] != 0 becomes, over the
+    denominator a * d_i, R_i[k] := a * R_i[k] - R_p[k] * R_i[pc] and
+    R_i[pc] := d_p * R_i[pc] (signs chosen so the denominator stays
+    positive), then is divided by its gcd with that denominator.
     """
-    row = h.rows[p_row]
-    for j in range(p_col, h.n):
-        if row[j] < 0:
-            h.col_negate(j)
-            v.col_negate(j)
-    c = math.lcm(*(x.denominator for x in row[p_col:]))
-    s = {j: int(row[j] * c) for j in range(p_col, h.n) if row[j] > 0}
-    return c, s
+    b = nums[p]
+    a, dp = b[pc], dens[p]
+    if a < 0:
+        a, dp, b = -a, -dp, [-x for x in b]
+    for i, row in enumerate(nums):
+        c = row[pc]
+        if c:
+            new = [a * x - y * c for x, y in zip(row, b)]
+            new[pc] = dp * c
+            d = a * dens[i]
+            g = math.gcd(d, *new)
+            if g != 1:
+                new = [x // g for x in new]
+                d //= g
+            nums[i] = new
+            dens[i] = d
 
 
-def reduce_left_int(h: Matrix, v: Matrix, p_row: int, p_col: int) -> None:
-    """Euclidean column reduction of the pivot row right of p_col.
+def _euclid(nums: list[list[int]], i: int, c: int, first: int) -> None:
+    """Euclidean step on row i, which has a non-zero entry in a column >= c.
 
-    Runs gcd elimination over the scaled entries until a single non-zero
-    entry remains, then swaps that gcd column into position p_col.  Only
-    columns >= p_col are touched.
+    Negates the columns >= c whose entry in row i is negative, reduces the
+    row's entries right of c to their gcd by integer column steps (the
+    smallest entry, first one on ties, is subtracted from the others),
+    swaps that column into c and reduces the row's entries in columns
+    first..c-1 into [0, pivot).  Row denominators never change, and the
+    quotients on a row's integers are those on its rational entries.
     """
-    _, s = abstract_to_int(h, v, p_row, p_col)
-    if not s:
-        raise GapPreconditionError("no non-zero entries right of the pivot position")
-    while len(s) > 1:
-        i0 = min(s, key=lambda j: (s[j], j))
-        base = s[i0]
-        for j in sorted(s):
-            if j == i0:
-                continue
-            q = s[j] // base
-            if q:
-                h.col_addmul(j, i0, Fraction(-q))
-                v.col_addmul(j, i0, Fraction(-q))
-            s[j] -= q * base
-            if not s[j]:
-                del s[j]
-    gcd_col = next(iter(s))
-    h.col_swap(p_col, gcd_col)
-    v.col_swap(p_col, gcd_col)
-
-
-def reduce_right_int(h: Matrix, v: Matrix, p_row: int, p_col: int, first: int = 0) -> None:
-    """Reduce the pivot row's entries in columns first..p_col-1 into [0, pivot).
-
-    Subtracts floor(entry / pivot) times the pivot column from each of
-    those columns; columns left of ``first`` are not touched.
-    """
-    row = h.rows[p_row]
-    pivot = row[p_col]
-    if pivot <= 0:
-        raise GapPreconditionError("pivot must be positive before right reduction")
-    for j in range(first, p_col):
-        q = row[j] // pivot
-        if q:
-            h.col_addmul(j, p_col, Fraction(-q))
-            v.col_addmul(j, p_col, Fraction(-q))
+    row = nums[i]
+    neg = [j for j in range(c, len(row)) if row[j] < 0]
+    if neg:
+        for r in nums:
+            for j in neg:
+                r[j] = -r[j]
+    live = [j for j in range(c, len(row)) if row[j]]
+    while len(live) > 1:
+        i0 = min(live, key=row.__getitem__)
+        base = row[i0]
+        _addmul(nums, i0, [(j, row[j] // base) for j in live if j != i0 and row[j] >= base])
+        live = [j for j in live if row[j]]
+    _swap(nums, c, live[0])
+    pivot = row[c]
+    _addmul(nums, c, [(j, row[j] // pivot) for j in range(first, c)
+                      if not 0 <= row[j] < pivot])
 
 
 def column_reduce(m: Matrix, cols: int | None = None,
@@ -429,28 +424,30 @@ def column_reduce(m: Matrix, cols: int | None = None,
     searched only in the first ``rows`` rows and the first ``cols`` columns
     (all by default); later rows only ride along the column steps.  Each
     searched row that is independent of the rows above it in those columns
-    becomes a pivot row: it is listed in pivot_rows and turned into the
-    next unit row e_1, e_2, ... over the whole width, since ``reduce_rat``
-    clears every other entry of the row; in every other searched row the
-    searched columns are zero from len(pivot_rows) on.
+    becomes a pivot row: its first non-zero searched column is swapped into
+    place and the rational pivot step turns it into the next unit row e_1,
+    e_2, ... over the whole width; in every other searched row the searched
+    columns are zero from len(pivot_rows) on.
     """
     cols = m.n if cols is None else cols
-    h = m.copy()
-    v = Matrix.identity(m.n)
+    nums, dens = _int_rows(m.rows + Matrix.identity(m.n).rows)
     pivot_rows: list[int] = []
     r = 0
-    for i in range(h.m if rows is None else rows):
+    for i in range(m.m if rows is None else rows):
         if r == cols:
             break
-        row = h.rows[i]
+        row = nums[i]
         for j in range(r, cols):
             if row[j]:
                 break
         else:
             continue
-        reduce_rat(h, v, i, r, j)
+        _swap(nums, r, j)
+        _pivot(nums, dens, i, r)
         pivot_rows.append(i)
         r += 1
+    h, v = Matrix.zeros(0, m.n), Matrix.zeros(0, m.n)
+    _store(nums, dens, m.m, h, v)
     return h, v, pivot_rows
 
 
@@ -458,8 +455,8 @@ def hermite_normal_form(h: Matrix, u: Matrix | None = None, row0: int = 0,
                         col0: int = 0, rows: int | None = None) -> tuple[Matrix, Matrix]:
     """Bring h into Hermite normal form by unimodular column operations.
 
-    Works for rational input matrices as well: the Euclidean reduction runs
-    on the entries scaled by a common denominator, so only integer column
+    Works for rational input matrices as well: the Euclidean steps run on
+    each row's integers over its denominator, so only integer column
     combinations, swaps and sign flips are ever applied.  Given only h,
     reduces a copy and returns (h', u) with h' = h * u, u integer with
     determinant +-1, and is_hermite_normal_form(h') true.
@@ -469,17 +466,20 @@ def hermite_normal_form(h: Matrix, u: Matrix | None = None, row0: int = 0,
     is brought into Hermite normal form, every step acts on columns >= col0
     only and is mirrored on u; rows past the window ride along.
     """
+    m = h.m
     if u is None:
-        h, u = h.copy(), Matrix.identity(h.n)
+        nums, dens = _int_rows(h.rows + Matrix.identity(h.n).rows)
+        h, u = Matrix.zeros(0, h.n), Matrix.zeros(0, h.n)
+    else:
+        nums, dens = _int_rows(h.rows + u.rows)
     c = col0
-    for i in range(row0, h.m if rows is None else rows):
+    for i in range(row0, m if rows is None else rows):
         if c == h.n:
             break
-        if not any(h.rows[i][c:]):
-            continue
-        reduce_left_int(h, u, i, c)
-        reduce_right_int(h, u, i, c, col0)
-        c += 1
+        if any(nums[i][c:]):
+            _euclid(nums, i, c, col0)
+            c += 1
+    _store(nums, dens, m, h, u)
     return h, u
 
 

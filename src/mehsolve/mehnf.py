@@ -7,8 +7,10 @@ each pivot step clearing its whole row, coupling block included; the pivot
 rows move on top (a row permutation commutes with column steps); and
 ``linalg.hermite_normal_form`` reduces the window of the remaining rows and
 the integer columns in place, never adding into a rational column, so v
-stays a mixed column transformation matrix.  Further rows can ride along
-the same column steps; they come out multiplied by v, with no product.
+stays a mixed column transformation matrix.  Each of the two calls steps
+on the pair as integer rows, one denominator per row, and hands back
+Fractions (see ``linalg``).  Further rows can ride along the same column
+steps; they come out multiplied by v, with no product.
 Both transformed routes of ``solver.solve`` use this: the whole system
 rides (A V) on the bounded one, the unbounded part (U V) on the other.
 """

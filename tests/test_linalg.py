@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from mehsolve.linalg import (
     column_reduce,
     format_matrix,
     hermite_normal_form,
+    int_row,
     is_hermite_normal_form,
     is_lower_triangular_with_gaps,
     is_mctm,
@@ -18,7 +20,15 @@ from mehsolve.linalg import (
     piv,
 )
 
-from helpers import matrices, mctms, parse_matrix, small_fractions
+from helpers import (
+    matrices,
+    mctms,
+    parse_matrix,
+    ref_column_reduce,
+    ref_hermite_normal_form,
+    same_results,
+    small_fractions,
+)
 
 
 class TestPiv:
@@ -165,6 +175,96 @@ class TestIsMctm:
     def test_generated_transforms_pass(self, vnn):
         v, n1, n2 = vnn
         assert is_mctm(v, n1, n2)
+
+
+def _kernel_input(rng):
+    """A random rational matrix for the kernel comparisons below.
+
+    About one row in eight and, with probability 1/2, one column are
+    zero; other entries are zero, small with mixed signs over the
+    denominators 1, 2, 3, 4 and 7, or numerators and denominators up to
+    2**80, so one row carries several distinct denominators.
+    """
+    m, n = rng.randint(0, 6), rng.randint(1, 6)
+    zero_col = rng.randrange(2 * n)
+    rows = []
+    for _ in range(m):
+        row = [Fraction(0)] * n
+        if rng.random() >= 0.125:
+            for j in range(n):
+                k = rng.random()
+                if j == zero_col or k < 0.3:
+                    continue
+                if k < 0.4:
+                    row[j] = Fraction(rng.randint(-2**80, 2**80), rng.randint(1, 2**80))
+                else:
+                    row[j] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7)))
+        rows.append(row)
+    return Matrix(rows) if rows else Matrix.zeros(0, n)
+
+
+class TestKernelsMatchReference:
+    """The integer-row kernels return exactly what the Fraction steps return."""
+
+    SEEDS = range(6)
+
+    def test_inputs_cover_the_hard_cases(self):
+        seen = set()
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            for _ in range(40):
+                m = _kernel_input(rng)
+                for row in m.rows:
+                    seen.add("zero row" if not any(row) else "row")
+                    if len({x.denominator for x in row if x}) > 2:
+                        seen.add("denominators")
+                    if any(x < 0 for x in row):
+                        seen.add("negative")
+                    if any(abs(x.numerator) > 2**64 for x in row):
+                        seen.add("huge")
+                if m.m and any(not any(col) for col in zip(*m.rows)):
+                    seen.add("zero column")
+        assert seen == {"zero row", "row", "denominators", "negative", "huge",
+                        "zero column"}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_column_reduce(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            m = _kernel_input(rng)
+            assert same_results(column_reduce(m), ref_column_reduce(m))
+            cols, rows = rng.randint(0, m.n), rng.randint(0, m.m)
+            assert same_results(column_reduce(m, cols, rows), ref_column_reduce(m, cols, rows))
+            assert same_results(column_reduce(m, rows=rows), ref_column_reduce(m, rows=rows))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hermite_normal_form_copy(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            m = _kernel_input(rng)
+            before = m.copy()
+            assert same_results(hermite_normal_form(m), ref_hermite_normal_form(m))
+            assert m == before
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hermite_normal_form_in_place(self, seed):
+        # As batch_mehnf calls it: the rational columns (n1 of them) first,
+        # the searched rows on top, riding rows below them.
+        rng = random.Random(seed)
+        for _ in range(40):
+            d = _kernel_input(rng)
+            top, n1 = rng.randint(0, d.m), rng.randint(0, d.n)
+            h, v, pivot_rows = column_reduce(d, n1, top)
+            want = ref_hermite_normal_form(h.copy(), v.copy(), len(pivot_rows), n1, top)
+            got = hermite_normal_form(h, v, len(pivot_rows), n1, top)
+            assert got[0] is h and got[1] is v
+            assert same_results(got, want)
+
+
+def test_int_row():
+    assert int_row([Fraction(1, 2), Fraction(-2, 3), Fraction(0)]) == ([3, -4, 0], 6)
+    assert int_row([Fraction(4), Fraction(-6)]) == ([4, -6], 1)
+    assert int_row([]) == ([], 1)
 
 
 class TestInvert:

@@ -4,18 +4,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mehsolve.linalg import (
-    GapPreconditionError,
-    Matrix,
-    abstract_to_int,
-    is_mctm,
-    is_mehnf,
-    reduce_left_int,
-    reduce_right_int,
-)
+from mehsolve.linalg import Matrix, is_mctm, is_mehnf
 from mehsolve.mehnf import batch_mehnf
 
-from helpers import rpiv, small_fractions, small_ints
+from helpers import (
+    abstract_to_int,
+    reduce_left_int,
+    reduce_right_int,
+    rpiv,
+    small_fractions,
+    small_ints,
+)
 
 
 class TestPivHelpers:
@@ -74,7 +73,7 @@ class TestReduceLeftInt:
 
     def test_empty_set_rejected(self):
         h = Matrix([[0, 0]])
-        with pytest.raises(GapPreconditionError):
+        with pytest.raises(ValueError):
             reduce_left_int(h, Matrix.identity(2), 0, 0)
 
 
@@ -98,7 +97,7 @@ class TestReduceRightInt:
         assert h.rows[0] == [2, 3]
 
     def test_nonpositive_pivot_rejected(self):
-        with pytest.raises(GapPreconditionError):
+        with pytest.raises(ValueError):
             reduce_right_int(Matrix([[1, -3]]), Matrix.identity(2), 0, 1)
 
 

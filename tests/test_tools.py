@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import mehsolve.analysis as analysis
+import mehsolve.mehnf as mehnf
 import mehsolve.simplex as simplex
+import mehsolve.solver as solver
 from mehsolve.analysis import Verdict, classify
 from mehsolve.bench import bench_directory, format_report
 from mehsolve.bruteforce import BoxTooLargeError, brute_force_solve
@@ -16,7 +19,8 @@ from mehsolve.model import Sat, check_model
 from mehsolve.smtlib import parse
 from mehsolve.solver import SolveOptions, VarBounds, solve
 
-from helpers import mk_system, nested_sum
+from helpers import (
+    mk_system, nested_sum, ref_column_reduce, ref_hermite_normal_form, same_results)
 
 BAND = "(set-logic QF_LIA)(declare-fun x () Int)(declare-fun y () Int)" \
        "(assert (<= 1 (- (* 3 x) (* 3 y))))(assert (<= (- (* 3 x) (* 3 y)) 2))" \
@@ -239,14 +243,20 @@ def test_cli_rejects_unparsable_timeout_env(tmp_path, monkeypatch):
     assert main(["bench", str(tmp_path)]) == 3
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    _pysys.modules[spec.name] = module   # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_bindings_exist():
     # perfbench/tracing.py wraps these module and class attributes; a
     # renamed or removed one would otherwise surface only when the
     # benchmark runs.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.TARGETS
                if attr not in vars(owner)]
     assert not missing
@@ -282,3 +292,49 @@ def test_identity_dump_prints_one_line_per_instance():
         assert (workload, seed, classification) == ("bounded_planted", "3", "bounded")
         assert name.rsplit("_", 1)[1] == verdict and int(nodes) >= 1 and len(digest) == 64
         assert int(pivots) >= 0
+
+
+def test_kernels_match_the_reference_on_benchmark_traffic(monkeypatch):
+    # Every column_reduce and hermite_normal_form call the pipeline makes,
+    # through the bindings perfbench/tracing.py wraps, returns exactly what
+    # the Fraction column steps of tests/helpers.py return, on the seed-1
+    # scale_unbounded ladder and on slices of the other two workloads.
+    workloads = _perfbench_module("workloads")
+    calls, mismatches, transforms = [], [], []
+
+    def checked(real, reference):
+        def wrapper(h, *args):
+            before = [h.copy(), *(a.copy() if hasattr(a, "rows") else a for a in args)]
+            got = real(h, *args)
+            want = reference(*before)
+            calls.append(real.__name__)
+            if not same_results(got, want):
+                mismatches.append((real.__name__, before))
+            return got
+        return wrapper
+
+    monkeypatch.setattr(mehnf, "column_reduce",
+                        checked(mehnf.column_reduce, ref_column_reduce))
+    monkeypatch.setattr(analysis, "column_reduce",
+                        checked(analysis.column_reduce, ref_column_reduce))
+    monkeypatch.setattr(mehnf, "hermite_normal_form",
+                        checked(mehnf.hermite_normal_form, ref_hermite_normal_form))
+    real_batch = solver.batch_mehnf
+    monkeypatch.setattr(solver, "batch_mehnf",
+                        lambda *a: transforms.append(real_batch(*a)) or transforms[-1])
+    ladder = workloads.scale_unbounded(1).instances()
+    texts = [inst.text for inst in ladder]
+    texts += [inst.text for inst in workloads.bounded_planted(1, blocks=16).instances()]
+    texts += [inst.text for inst in workloads.suite_mix(1, count=16).instances()]
+    calls.clear()   # make_suites.py solves while it generates
+    bits = []
+    for i, text in enumerate(texts):
+        transforms.clear()
+        solve(parse(text))
+        if i < len(ladder):
+            bits.append(max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                            for _, v, _ in transforms for row in v.matrix.rows for x in row))
+    assert not mismatches
+    assert {"column_reduce", "hermite_normal_form"} <= set(calls) and len(calls) > 300
+    # V's growth on the ladder is that of the same steps on Fractions.
+    assert ladder[-1].name == "unbounded_n16" and bits[-1] == 36
