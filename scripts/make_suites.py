@@ -80,7 +80,8 @@ def main() -> int:
             gen_flip(inst, Fraction(1, 5), rng.randrange(2**31)))
 
         base = band_unsat_instance(rng, args.max_vars)
-        assert isinstance(solve(base), Unsat), "base instance must be unsat"
+        if not isinstance(solve(base), Unsat):
+            raise RuntimeError("base instance must be unsat")
         slacked = gen_slack(base)
         families["slacked"].append(slacked)
         families["flipped_slacked"].append(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,10 +31,7 @@ from .linalg import column_reduce, int_row
 from .model import ConstraintSystem, check_certificate
 from .simplex import (
     Infeasible, Optimal, SimplexInstance, UnboundedDirection, _certified,
-    atoms_to_certificate, check_feasible, optimize, optimize_each)
-
-_ZERO = Fraction(0)
-_MINUS_ONE = Fraction(-1)
+    atoms_to_certificate, check_feasible, optimize, optimize_int_rows)
 
 
 class InfeasibleSystemError(ValueError):
@@ -169,14 +167,18 @@ def _equality_rows(sys: ConstraintSystem) -> tuple[int, ...]:
     by_bound: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(keys):
         by_bound.setdefault(key, []).append(i)
-    rows = sys.matrix.rows
+    # int_row is canonical, so a_k = -a_i exactly when the denominators are
+    # equal and the integers opposite.
+    rows = sys.int_rows
     paired: set[int] = set()
     out = []
     for i, (p, q) in enumerate(keys):
         if i in paired:
             continue
+        ints, den = rows[i]
         for k in by_bound.get((-p, q), ()):
-            if k > i and k not in paired and all(x == -y for x, y in zip(rows[k], rows[i])):
+            if (k > i and k not in paired and rows[k][1] == den
+                    and all(x == -y for x, y in zip(rows[k][0], ints))):
                 paired.add(k)
                 out.append(i)
                 break
@@ -197,7 +199,7 @@ def _cone_equalities(sys: ConstraintSystem, inst: SimplexInstance) -> list[int]:
     """
     known = _opposite_normals(sys)
     while True:
-        cone = [_ZERO if i in known else _MINUS_ONE for i in range(sys.m)]
+        cone = [0 if i in known else -1 for i in range(sys.m)]
         inst.set_row_bounds(cone)
         conflict = inst.check()
         if conflict is None:
@@ -208,8 +210,10 @@ def _cone_equalities(sys: ConstraintSystem, inst: SimplexInstance) -> list[int]:
                 ConstraintSystem(sys.matrix, cone, sys.variables, sys.user_perm), cert):
             raise AssertionError("recession cone conflict is not a certificate; simplex bug")
         known.update(i for i, y in enumerate(cert.y) if y)
-    values = sys.matrix.mul_vec(inst.assignment())
-    if any(v > b for v, b in zip(values, cone)):
+    # Row i at the point is (ints . point) / (den * scale).
+    point, scale = int_row(inst.assignment())
+    if any(sum(map(operator.mul, ints, point)) > b * den * scale
+           for (ints, den), b in zip(sys.int_rows, cone)):
         raise AssertionError("recession cone point violates a row; simplex bug")
     return sorted(known)
 
@@ -219,8 +223,7 @@ def _opposite_normals(sys: ConstraintSystem) -> set[int]:
     # Keyed by each row's primitive integer normal: hashing Fractions is
     # slower, and their tuples take more memory.
     keys = []
-    for row in sys.matrix.rows:
-        ints, _ = int_row(row)
+    for ints, _ in sys.int_rows:
         g = math.gcd(*ints)
         if g > 1:
             ints = [p // g for p in ints]
@@ -243,7 +246,7 @@ def split(sys: ConstraintSystem, cls: Classification) -> SplitSystem:
     unbounded_idx = [i for i in range(sys.m) if i not in cls.bounded_rows]
     bounded = sys.subset(bounded_idx)
     unbounded = sys.subset(unbounded_idx)
-    results = optimize_each(bounded, bounded.matrix.rows, "min")
+    results = optimize_int_rows(bounded, bounded.int_rows, "min")
     if not all(isinstance(res, Optimal) for res in results):
         raise AssertionError(
             "bounded part is not self-contained; upstream classification bug")

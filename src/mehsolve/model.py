@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Matrix, frac
+from .linalg import Matrix, frac, int_row
 
 
 class DimensionMismatchError(ValueError):
@@ -39,7 +40,8 @@ class ConstraintSystem:
     so output can be presented the way the input was written.  A system
     carries no row provenance: code that derives one system from another
     keeps the row indices it needs to map results back (see ``normalize``
-    and ``split``).
+    and ``split``).  A system's matrix is not changed after construction,
+    so what is derived from it, such as ``int_rows``, is computed once.
     """
 
     def __init__(
@@ -88,14 +90,28 @@ class ConstraintSystem:
     def integer_columns(self) -> range:
         return range(self.n1, self.n)
 
+    @cached_property
+    def int_rows(self) -> list[tuple[list[int], int]]:
+        """Each row as ``linalg.int_row`` gives it: integers over one denominator."""
+        return [int_row(row) for row in self.matrix.rows]
+
     def subset(self, rows: Sequence[int]) -> "ConstraintSystem":
-        """System of the given rows, in the given order, over the same variables."""
-        return ConstraintSystem(
-            Matrix([self.matrix.rows[i] for i in rows]) if rows else Matrix.zeros(0, self.n),
-            [self.bounds[i] for i in rows],
-            self.variables,
-            self.user_perm,
-        )
+        """System of the given rows, in the given order, over the same variables.
+
+        Built without the constructor's checks, which self has passed: the
+        rows are copied as they are, and the variables, their order and
+        ``user_perm`` are self's.  The integer rows come along when self
+        has computed them.
+        """
+        sub = ConstraintSystem.__new__(ConstraintSystem)
+        sub.matrix = Matrix.__new__(Matrix)
+        sub.matrix.rows = [self.matrix.rows[i][:] for i in rows]
+        sub.matrix.m, sub.matrix.n = len(rows), self.n
+        sub.bounds = [self.bounds[i] for i in rows]
+        sub.variables, sub.n1, sub.user_perm = self.variables, self.n1, self.user_perm
+        if "int_rows" in self.__dict__:
+            sub.int_rows = [self.int_rows[i] for i in rows]
+        return sub
 
     def __repr__(self) -> str:
         return f"ConstraintSystem({self.m} rows, {self.n1}+{self.n2} vars)"

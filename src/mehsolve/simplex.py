@@ -14,12 +14,15 @@ so every call terminates; all arithmetic is exact.
 The tableau is fraction-free (integer-preserving elimination): each row is
 a dict of integer coefficients over one positive integer denominator,
 reduced to gcd 1 after every pivot, and ``optimize_max`` keeps its
-reduced-cost row in the same form through its pivots.  Bounds and the
-assignment are ``Fraction``s, and every value handed out (assignments,
-conflict and dual multipliers, rays) is a ``Fraction`` equal to the
-rational tableau entry, so Bland's rule sees the same values as on a
-rational tableau.  The certificate checks in ``model`` stay on
-``Fraction`` and do not use the tableau's arithmetic.
+reduced-cost row in the same form through its pivots.  Rows enter as
+integers (a system's ``int_rows``, converted once per system).  Bounds and
+the assignment are integer pairs (num, den) in lowest terms, compared by
+cross-multiplication, and the ratio test compares its steps the same way,
+so feasibility repair and optimization make no ``Fraction``.  Every value
+handed out (assignments, conflict and dual multipliers, optimum values,
+rays) is a ``Fraction`` equal to the rational value, so Bland's rule sees
+the same values as on a rational tableau.  The certificate checks in
+``model`` stay on ``Fraction`` and do not use the tableau's arithmetic.
 
 Conflicts and optimal duals are reported as lists of ``(BoundSource,
 multiplier)`` atoms.  For plain constraint systems the module-level
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .linalg import int_row
 from .model import ConstraintSystem, FarkasCertificate, check_certificate
 
 _ZERO = Fraction(0)
@@ -111,10 +115,11 @@ class SimplexInstance:
     feasibility and optimization answers always reflect the rows and the
     bounds on the stack.
 
-    ``_rows`` maps each added row to the variable that carries it: row
-    ``coeffs . x <= b`` is ``c * x_var <= b``, where ``x_var`` is the row's
-    one variable with its coefficient c, or a slack ``x_var = coeffs . x``
-    with c = 1 (``var`` is None for a zero row).  With that map,
+    ``_rows`` maps each added row to the variable that carries it and its
+    scale: row ``coeffs . x <= b`` bounds ``x_var`` by ``b * q / p``, from
+    above when ``p > 0``, where ``x_var`` is the row's one variable with
+    its coefficient ``p / q``, or a slack ``x_var = coeffs . x`` with
+    ``p = q = 1`` (``var`` is None for a zero row).  With that map,
     ``set_row_bounds`` replaces the bound of every row at once, on an empty
     stack; it is the only operation that can loosen a bound.
 
@@ -122,20 +127,24 @@ class SimplexInstance:
     ``_den[bv] * x_bv = sum(c * x_k for k, c in _tab[bv].items())`` over
     non-basic ``x_k``, with integer ``c``, no stored zero, a positive
     integer ``_den[bv]`` and ``gcd(_den[bv], *_tab[bv].values()) == 1``.
-    Pivots update rows by integer cross-multiplication.  Bounds, the
-    assignment and every value handed out stay ``Fraction``s, equal to the
-    rational tableau entries ``c / _den[bv]``.
+    Pivots update rows by integer cross-multiplication.  Every stored value
+    is an integer pair too: ``_beta[k] == (num, den)`` is the value
+    ``num / den`` of ``x_k``, and a bound is ``(num, den, source)``, each
+    with ``den > 0`` and ``gcd(num, den) == 1``.  Pairs are compared by
+    cross-multiplication.  ``Fraction``s are made only for what leaves the
+    instance: assignments, conflict and dual multipliers, optimum values
+    and rays.
     """
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self._lo: list[Optional[tuple[Fraction, BoundSource]]] = [None] * nvars
-        self._up: list[Optional[tuple[Fraction, BoundSource]]] = [None] * nvars
-        self._beta: list[Fraction] = [_ZERO] * nvars
+        self._lo: list[Optional[tuple[int, int, BoundSource]]] = [None] * nvars
+        self._up: list[Optional[tuple[int, int, BoundSource]]] = [None] * nvars
+        self._beta: list[tuple[int, int]] = [(0, 1)] * nvars
         self._tab: dict[int, dict[int, int]] = {}
         self._den: dict[int, int] = {}
         self._trail: list[tuple] = []
-        self._rows: list[tuple[Optional[int], Fraction, BoundSource]] = []
+        self._rows: list[tuple[Optional[int], int, int, BoundSource]] = []
         self._dead: Optional[BoundSource] = None
         self.pivots = 0
 
@@ -144,16 +153,23 @@ class SimplexInstance:
     def add_row(self, coeffs: Sequence[Fraction], b: Fraction,
                 kind: str = "row", index: int = 0) -> None:
         """Add the inequality coeffs . x <= b for good."""
+        ints, den = int_row(coeffs)
+        self._add_int_row(ints, den, b, kind, index)
+
+    def _add_int_row(self, ints: list[int], den: int, b: Fraction,
+                     kind: str, index: int) -> None:
+        """Add (ints . x) / den <= b, with gcd(den, *ints) == 1."""
         if self._trail:
             raise ValueError("rows must be added before any bound is pushed")
-        support = [(j, c) for j, c in enumerate(coeffs) if c]
+        support = [(j, c) for j, c in enumerate(ints) if c]
         if not support:
-            var, c = None, _ONE
+            row = (None, 1, 1, BoundSource(kind, index))
         elif len(support) == 1:
             var, c = support[0]
+            scale = _ONE if abs(c) == den else Fraction(abs(c), den)
+            row = (var, c, den, BoundSource(kind, index, scale))
         else:
-            var, c = self._alloc_slack(support), _ONE
-        row = (var, c, BoundSource(kind, index, abs(c)))
+            row = (self._alloc_slack(support, den), 1, 1, BoundSource(kind, index))
         self._rows.append(row)
         self._bound_row(row, b)
 
@@ -177,7 +193,8 @@ class SimplexInstance:
     def push_bound(self, var: int, side: str, value: Fraction,
                    kind: str, index: int) -> None:
         """Push var <= value (side "up") or var >= value (side "lo")."""
-        old = self._tighten(var, side, value, BoundSource(kind, index))
+        old = self._tighten(var, side, value.numerator, value.denominator,
+                            BoundSource(kind, index))
         self._trail.append((var, side, old))
 
     def pop_bound(self) -> None:
@@ -190,46 +207,46 @@ class SimplexInstance:
     # -- internals -------------------------------------------------------
 
     def _bound_row(self, row, b: Fraction) -> None:
-        """Bound row (var, c, src), c * x_var = coeffs . x, by b.
-
-        A slack's c is ``_ONE`` itself, so its bound needs no division.
-        """
-        var, c, src = row
+        """Bound x_var of row (var, p, q, src) by b * q / p."""
+        var, p, q, src = row
+        num, den = b.numerator, b.denominator
         if var is None:
-            if b < 0:
+            if num < 0:
                 self._dead = src
-        else:
-            self._tighten(var, "up" if c > 0 else "lo", b if c is _ONE else b / c, src)
+            return
+        if p != 1 or q != 1:
+            num, den = _pair(num * q, den * p)
+        self._tighten(var, "up" if p > 0 else "lo", num, den, src)
 
-    def _tighten(self, var, side, value, src):
-        """Keep the tighter of value and var's bound on side; return the old bound."""
+    def _tighten(self, var, side, num, den, src):
+        """Keep the tighter of num / den and var's bound on side; return the old bound."""
         store = self._up if side == "up" else self._lo
         old = store[var]
-        if old is None or (value < old[0] if side == "up" else value > old[0]):
-            store[var] = (value, src)
+        if old is None or (num * old[1] < old[0] * den if side == "up"
+                           else num * old[1] > old[0] * den):
+            store[var] = (num, den, src)
         return old
 
-    def _alloc_slack(self, support: list[tuple[int, Fraction]]) -> int:
+    def _alloc_slack(self, support: list[tuple[int, int]], den: int) -> int:
         s = len(self._beta)
         self._lo.append(None)
         self._up.append(None)
-        den, expr = self._combine(support)
+        den, expr = self._combine(support, den)
         if not expr:
             raise SimplexInternalError("slack for a non-zero row reduced to nothing")
-        beta = self._beta
-        beta.append(sum((a * beta[j] for j, a in support if beta[j]), _ZERO))
+        self._beta.append(self._value(expr, den))
         self._tab[s] = expr
         self._den[s] = den
         return s
 
-    def _combine(self, terms) -> tuple[int, dict[int, int]]:
-        """(den, row) of sum(a * x_j for j, a in terms) over the non-basics."""
-        den = 1
+    def _combine(self, terms, den0: int) -> tuple[int, dict[int, int]]:
+        """(den, row) of sum(c * x_j for j, c in terms) / den0 over the non-basics."""
+        den = den0
         expr: dict[int, int] = {}
-        for j, a in terms:
-            if not a:
+        for j, num in terms:
+            if not num:
                 continue
-            num, q = a.numerator, a.denominator
+            q = den0
             row = self._tab.get(j)
             if row is None:
                 row = {j: 1}
@@ -249,16 +266,39 @@ class SimplexInstance:
                     del expr[k]
         return _reduce(den, expr), expr
 
-    def _update(self, var: int, value: Fraction) -> None:
-        """Move non-basic var to value and every basic variable with it."""
-        delta = value - self._beta[var]
-        if not delta:
+    def _value(self, row: dict[int, int], den: int) -> tuple[int, int]:
+        """sum(c * x_k for k, c in row) / den at the assignment, as a pair."""
+        beta = self._beta
+        num, q = 0, 1
+        for k, c in row.items():
+            n, d = beta[k]
+            if not n:
+                continue
+            if d == q:
+                num += c * n
+            else:
+                g = math.gcd(q, d)
+                num = num * (d // g) + c * n * (q // g)
+                q = q // g * d
+        return _pair(num, q * den)
+
+    def _update(self, var: int, num: int, den: int) -> None:
+        """Move non-basic var to num / den and every basic variable with it."""
+        n, d = self._beta[var]
+        dn = num * d - n * den
+        if not dn:
             return
-        self._beta[var] = value
+        self._beta[var] = (num, den)
+        self._shift(var, *_pair(dn, den * d))
+
+    def _shift(self, var: int, dn: int, dd: int) -> None:
+        """Move every basic variable with non-basic var's move by dn / dd."""
+        beta, dens = self._beta, self._den
         for bv, row in self._tab.items():
             c = row.get(var)
             if c:
-                self._beta[bv] += _scaled(delta, c, self._den[bv])
+                n, d = beta[bv]
+                beta[bv] = _sum(n, d, dn * c, dd * dens[bv])
 
     def _pivot(self, bv: int, j: int) -> None:
         row = self._tab.pop(bv)
@@ -282,19 +322,24 @@ class SimplexInstance:
         self._den[j] = p
         self.pivots += 1
 
-    def _pivot_and_update(self, bv: int, j: int, target: Fraction) -> None:
-        """Move x_j until basic bv reaches target, then swap the two."""
-        theta = _scaled(target - self._beta[bv], self._den[bv], self._tab[bv][j])
-        self._update(j, self._beta[j] + theta)
+    def _pivot_and_update(self, bv: int, j: int, num: int, den: int) -> None:
+        """Move x_j until basic bv reaches num / den, then swap the two."""
+        n, d = self._beta[bv]
+        theta = _pair((num * d - n * den) * self._den[bv], den * d * self._tab[bv][j])
+        if theta[0]:
+            n, d = self._beta[j]
+            self._beta[j] = _sum(n, d, *theta)
+            self._shift(j, *theta)
         self._pivot(bv, j)
 
     def _can_move(self, j: int, sign: int) -> bool:
         """Whether x_j can increase (sign > 0) or decrease (sign < 0)."""
+        n, d = self._beta[j]
         if sign > 0:
             up = self._up[j]
-            return up is None or self._beta[j] < up[0]
+            return up is None or n * up[1] < up[0] * d
         lo = self._lo[j]
-        return lo is None or self._beta[j] > lo[0]
+        return lo is None or n * lo[1] > lo[0] * d
 
     def _entering(self, row: dict[int, int], sign: int) -> Optional[int]:
         """Bland's choice: the least x_j of row that can move row by sign."""
@@ -305,7 +350,7 @@ class SimplexInstance:
 
     def _explain(self, row: dict[int, int], den: int, sign: int) -> list[Atom]:
         """The bounds that stop every x_j of row / den from moving it by sign."""
-        return [((self._up if c * sign > 0 else self._lo)[j][1], Fraction(abs(c), den))
+        return [((self._up if c * sign > 0 else self._lo)[j][2], Fraction(abs(c), den))
                 for j, c in row.items()]
 
     # -- feasibility -----------------------------------------------------
@@ -319,28 +364,29 @@ class SimplexInstance:
         """
         if self._dead is not None:
             return [(self._dead, _ONE)]
-        for var in range(len(self._beta)):
-            lo, up = self._lo[var], self._up[var]
-            if lo is not None and up is not None and lo[0] > up[0]:
-                return [(lo[1], _ONE), (up[1], _ONE)]
+        beta, lows, ups = self._beta, self._lo, self._up
+        for lo, up in zip(lows, ups):
+            if lo is not None and up is not None and lo[0] * up[1] > up[0] * lo[1]:
+                return [(lo[2], _ONE), (up[2], _ONE)]
         # Clamp non-basic variables back into their bounds; pushed bounds
         # may have left them outside.
-        for var in range(len(self._beta)):
+        for var, (n, d) in enumerate(beta):
             if var in self._tab:
                 continue
-            lo, up = self._lo[var], self._up[var]
-            if lo is not None and self._beta[var] < lo[0]:
-                self._update(var, lo[0])
-            elif up is not None and self._beta[var] > up[0]:
-                self._update(var, up[0])
+            lo, up = lows[var], ups[var]
+            if lo is not None and n * lo[1] < lo[0] * d:
+                self._update(var, lo[0], lo[1])
+            elif up is not None and n * up[1] > up[0] * d:
+                self._update(var, up[0], up[1])
         while True:
             # The least violated basic variable, and the sign it must move by.
             for bv in sorted(self._tab):
-                lo, up = self._lo[bv], self._up[bv]
-                if lo is not None and self._beta[bv] < lo[0]:
+                n, d = beta[bv]
+                lo, up = lows[bv], ups[bv]
+                if lo is not None and n * lo[1] < lo[0] * d:
                     sign, bound = 1, lo
                     break
-                if up is not None and self._beta[bv] > up[0]:
+                if up is not None and n * up[1] > up[0] * d:
                     sign, bound = -1, up
                     break
             else:
@@ -348,11 +394,11 @@ class SimplexInstance:
             row = self._tab[bv]
             enter = self._entering(row, sign)
             if enter is None:
-                return [(bound[1], _ONE), *self._explain(row, self._den[bv], sign)]
-            self._pivot_and_update(bv, enter, bound[0])
+                return [(bound[2], _ONE), *self._explain(row, self._den[bv], sign)]
+            self._pivot_and_update(bv, enter, bound[0], bound[1])
 
     def assignment(self) -> list[Fraction]:
-        return self._beta[: self.nvars]
+        return [Fraction(n, d) for n, d in self._beta[: self.nvars]]
 
     # -- optimization ------------------------------------------------------
 
@@ -361,49 +407,80 @@ class SimplexInstance:
 
         Returns ("infeasible", atoms), ("unbounded", ray_over_all_vars) or
         ("optimal", value, dual_atoms).  Must be re-run after stack changes.
+        """
+        ints, den = int_row(list(h.values()))
+        return self._maximize(dict(zip(h, ints)), den)
+
+    def _maximize(self, obj: dict[int, int], oden: int):
+        """``optimize_max`` of the objective (obj . x) / oden.
+
         The reduced-cost row is built once, in the tableau's integer form,
         and updated by the same elimination as the rows at every pivot.
+        The ratio test compares each step ``tn / td`` (``td > 0``) by
+        cross-multiplication, unreduced.
         """
         conflict = self.check()
         if conflict is not None:
             return ("infeasible", conflict)
-        dden, d = self._combine(h.items())
+        beta, lows, ups = self._beta, self._lo, self._up
+        dden, d = self._combine(obj.items(), oden)
         while True:
             j = self._entering(d, 1)
             if j is None:
-                value = sum((hp * self._beta[p] for p, hp in h.items()), _ZERO)
-                return ("optimal", value, self._explain(d, dden, 1))
+                return ("optimal", Fraction(*self._value(obj, oden)), self._explain(d, dden, 1))
             sgn = 1 if d[j] > 0 else -1
-            own = (self._up if sgn > 0 else self._lo)[j]
-            best_t = best_bv = best_target = None
+            own = (ups if sgn > 0 else lows)[j]
+            best_bv = best_bound = best_tn = best_td = None
             for bv in sorted(self._tab):
                 c = self._tab[bv].get(j)
                 if not c:
                     continue
                 eff = c * sgn
-                bound = (self._up if eff > 0 else self._lo)[bv]
+                bound = (ups if eff > 0 else lows)[bv]
                 if bound is None:
                     continue
-                t = _scaled(bound[0] - self._beta[bv], self._den[bv], eff)
-                if best_t is None or t < best_t:
-                    best_t, best_bv, best_target = t, bv, bound[0]
-            if own is None and best_t is None:
+                n, q = beta[bv]
+                tn = (bound[0] * q - n * bound[1]) * self._den[bv]
+                td = bound[1] * q * eff
+                if td < 0:
+                    tn, td = -tn, -td
+                if best_bv is None or tn * best_td < best_tn * td:
+                    best_bv, best_bound, best_tn, best_td = bv, bound, tn, td
+            if own is None and best_bv is None:
                 ray = {j: Fraction(sgn)}
                 for bv, row in self._tab.items():
                     c = row.get(j)
                     if c:
                         ray[bv] = Fraction(c * sgn, self._den[bv])
                 return ("unbounded", ray)
-            if best_t is None or (own is not None and (own[0] - self._beta[j]) * sgn <= best_t):
-                self._update(j, own[0])
-            else:
-                self._pivot_and_update(best_bv, j, best_target)
-                dden = _eliminate(d, dden, d.pop(j), self._tab[j], self._den[j])
+            if own is not None:
+                n, q = beta[j]
+                # (own - x_j) * sgn <= best step: the bound of x_j comes first.
+                if best_bv is None or ((own[0] * q - n * own[1]) * sgn * best_td
+                                       <= best_tn * own[1] * q):
+                    self._update(j, own[0], own[1])
+                    continue
+            self._pivot_and_update(best_bv, j, best_bound[0], best_bound[1])
+            dden = _eliminate(d, dden, d.pop(j), self._tab[j], self._den[j])
 
 
-def _scaled(x: Fraction, num: int, den: int) -> Fraction:
-    """x * num / den for integers num and den != 0."""
-    return Fraction(x.numerator * num, x.denominator * den)
+def _pair(num: int, den: int) -> tuple[int, int]:
+    """num / den as a pair with a positive denominator and gcd 1; den != 0."""
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    if g != 1:
+        return num // g, den // g
+    return num, den
+
+
+def _sum(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """n1 / d1 + n2 / d2 as a reduced pair, for d1, d2 > 0."""
+    if d1 == d2:
+        if d1 == 1:
+            return n1 + n2, 1
+        return _pair(n1 + n2, d1)
+    return _pair(n1 * d2 + n2 * d1, d1 * d2)
 
 
 def _reduce(den: int, row: dict[int, int]) -> int:
@@ -445,8 +522,8 @@ def _eliminate(row: dict[int, int], den: int, f: int, new: dict[int, int], p: in
 
 def instance_for(sys: ConstraintSystem) -> SimplexInstance:
     inst = SimplexInstance(sys.n)
-    for i in range(sys.m):
-        inst.add_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
+    for i, ((ints, den), b) in enumerate(zip(sys.int_rows, sys.bounds)):
+        inst._add_int_row(ints, den, b, "row", i)
     return inst
 
 
@@ -488,8 +565,6 @@ def optimize_each(sys: ConstraintSystem, objectives: Sequence, sense: str) -> li
     Every LP after the first re-optimizes from the basis the one before it
     left; each outcome is re-verified against sys as ``optimize``'s is.
     """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     goals = []
     for h in objectives:
         hvec = [Fraction(x) for x in h]
@@ -497,13 +572,26 @@ def optimize_each(sys: ConstraintSystem, objectives: Sequence, sense: str) -> li
             raise ValueError("objective length does not match variable count")
         if not any(hvec):
             raise ValueError("objective must be non-zero")
-        goals.append(hvec if sense == "max" else [-x for x in hvec])
+        goals.append(int_row(hvec))
+    return optimize_int_rows(sys, goals, sense)
+
+
+def optimize_int_rows(sys: ConstraintSystem, goals: Sequence[tuple[list[int], int]],
+                      sense: str) -> list[OptOutcome]:
+    """``optimize_each`` of objectives given as ``linalg.int_row`` pairs (ints, den).
+
+    ``split`` hands it the rows of sys as ``sys.int_rows`` holds them.
+    """
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     inst = instance_for(sys)
-    return [_optimize_on(sys, inst, goal, sense) for goal in goals]
+    return [_optimize_on(sys, inst, ints if sense == "max" else [-c for c in ints], den, sense)
+            for ints, den in goals]
 
 
-def _optimize_on(sys: ConstraintSystem, inst: SimplexInstance, goal, sense) -> OptOutcome:
-    res = inst.optimize_max({j: c for j, c in enumerate(goal) if c})
+def _optimize_on(sys: ConstraintSystem, inst: SimplexInstance, ints, den, sense) -> OptOutcome:
+    """Maximize (ints . x) / den on inst; the outcome is re-verified against sys."""
+    res = inst._maximize({j: c for j, c in enumerate(ints) if c}, den)
     if res[0] == "infeasible":
         return _certified(sys, res[1])
     if res[0] == "unbounded":
@@ -516,6 +604,7 @@ def _optimize_on(sys: ConstraintSystem, inst: SimplexInstance, goal, sense) -> O
     value = maxvalue if sense == "max" else -maxvalue
     dual = atoms_to_certificate(atoms, sys.m).multiplier_vector(sys.m)
     point = inst.assignment()
+    goal = ints if den == 1 else [Fraction(c, den) for c in ints]
     _verify_dual(sys, goal, maxvalue, dual)
     return Optimal(value, point, dual)
 

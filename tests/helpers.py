@@ -4,11 +4,15 @@ from fractions import Fraction
 import math
 import random
 
+from typing import Optional, Sequence
+
 from hypothesis import strategies as st
 
 from mehsolve.linalg import Matrix
 from mehsolve.mehnf import batch_mehnf
 from mehsolve.model import ConstraintSystem, VarInfo, VarKind
+from mehsolve.simplex import (
+    Atom, BoundSource, EmptyStackError, SimplexInternalError, _eliminate, _reduce)
 
 
 def mk_system(rows, bounds, kinds, names=None):
@@ -304,3 +308,313 @@ def ref_hermite_normal_form(h: Matrix, u=None, row0=0, col0=0, rows=None):
         reduce_right_int(h, u, i, c, col0)
         c += 1
     return h, u
+
+
+# -- reference simplex ---------------------------------------------------
+#
+# The simplex whose bounds, assignment, ratio test and slack values were
+# Fractions, replaced by simplex.SimplexInstance's integer pairs.  It
+# shares the integer tableau rows (``_reduce``, ``_eliminate``) with the
+# engine; on the same calls both must make the same pivots and return the
+# same conflicts, assignments and optimization results.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class RefSimplexInstance:
+    """``simplex.SimplexInstance`` with ``Fraction`` bounds and assignment.
+
+    Same calls, same tableau rows (``_tab``, ``_den``) and the same Bland's
+    rule; ``_lo``/``_up`` hold ``(value, source)`` and ``_beta`` holds one
+    ``Fraction`` per variable.  ``_rows`` maps each added row to ``(var, c,
+    source)``: row ``coeffs . x <= b`` is ``c * x_var <= b``, where
+    ``x_var`` is the row's one variable with its coefficient c, or a slack
+    ``x_var = coeffs . x`` with c = 1 (``var`` is None for a zero row).
+    """
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self._lo: list[Optional[tuple[Fraction, BoundSource]]] = [None] * nvars
+        self._up: list[Optional[tuple[Fraction, BoundSource]]] = [None] * nvars
+        self._beta: list[Fraction] = [_ZERO] * nvars
+        self._tab: dict[int, dict[int, int]] = {}
+        self._den: dict[int, int] = {}
+        self._trail: list[tuple] = []
+        self._rows: list[tuple[Optional[int], Fraction, BoundSource]] = []
+        self._dead: Optional[BoundSource] = None
+        self.pivots = 0
+
+    # -- rows and the bound stack ------------------------------------------
+
+    def add_row(self, coeffs: Sequence[Fraction], b: Fraction,
+                kind: str = "row", index: int = 0) -> None:
+        """Add the inequality coeffs . x <= b for good."""
+        if self._trail:
+            raise ValueError("rows must be added before any bound is pushed")
+        support = [(j, c) for j, c in enumerate(coeffs) if c]
+        if not support:
+            var, c = None, _ONE
+        elif len(support) == 1:
+            var, c = support[0]
+        else:
+            var, c = self._alloc_slack(support), _ONE
+        row = (var, c, BoundSource(kind, index, abs(c)))
+        self._rows.append(row)
+        self._bound_row(row, b)
+
+    def set_row_bounds(self, bounds: Sequence[Fraction]) -> None:
+        """Give the k-th added row the bound bounds[k], in place of its own.
+
+        The rows, the basis and the assignment stay; every bound is
+        rebuilt from the rows, so a bound may loosen.  Only allowed while
+        the bound stack is empty.
+        """
+        if self._trail:
+            raise ValueError("row bounds can only be replaced on an empty bound stack")
+        if len(bounds) != len(self._rows):
+            raise ValueError("one bound per added row is needed")
+        self._lo = [None] * len(self._lo)
+        self._up = [None] * len(self._up)
+        self._dead = None
+        for row, b in zip(self._rows, bounds):
+            self._bound_row(row, b)
+
+    def push_bound(self, var: int, side: str, value: Fraction,
+                   kind: str, index: int) -> None:
+        """Push var <= value (side "up") or var >= value (side "lo")."""
+        old = self._tighten(var, side, value, BoundSource(kind, index))
+        self._trail.append((var, side, old))
+
+    def pop_bound(self) -> None:
+        """Pop the last pushed bound, restoring the one it replaced."""
+        if not self._trail:
+            raise EmptyStackError("pop on an empty bound stack")
+        var, side, old = self._trail.pop()
+        (self._up if side == "up" else self._lo)[var] = old
+
+    # -- internals -------------------------------------------------------
+
+    def _bound_row(self, row, b: Fraction) -> None:
+        """Bound row (var, c, src), c * x_var = coeffs . x, by b.
+
+        A slack's c is ``_ONE`` itself, so its bound needs no division.
+        """
+        var, c, src = row
+        if var is None:
+            if b < 0:
+                self._dead = src
+        else:
+            self._tighten(var, "up" if c > 0 else "lo", b if c is _ONE else b / c, src)
+
+    def _tighten(self, var, side, value, src):
+        """Keep the tighter of value and var's bound on side; return the old bound."""
+        store = self._up if side == "up" else self._lo
+        old = store[var]
+        if old is None or (value < old[0] if side == "up" else value > old[0]):
+            store[var] = (value, src)
+        return old
+
+    def _alloc_slack(self, support: list[tuple[int, Fraction]]) -> int:
+        s = len(self._beta)
+        self._lo.append(None)
+        self._up.append(None)
+        den, expr = self._combine(support)
+        if not expr:
+            raise SimplexInternalError("slack for a non-zero row reduced to nothing")
+        beta = self._beta
+        beta.append(sum((a * beta[j] for j, a in support if beta[j]), _ZERO))
+        self._tab[s] = expr
+        self._den[s] = den
+        return s
+
+    def _combine(self, terms) -> tuple[int, dict[int, int]]:
+        """(den, row) of sum(a * x_j for j, a in terms) over the non-basics."""
+        den = 1
+        expr: dict[int, int] = {}
+        for j, a in terms:
+            if not a:
+                continue
+            num, q = a.numerator, a.denominator
+            row = self._tab.get(j)
+            if row is None:
+                row = {j: 1}
+            else:
+                q *= self._den[j]
+            if den % q:
+                scale = q // math.gcd(den, q)
+                for k in expr:
+                    expr[k] *= scale
+                den *= scale
+            num *= den // q
+            for k, c in row.items():
+                acc = expr.get(k, 0) + num * c
+                if acc:
+                    expr[k] = acc
+                elif k in expr:
+                    del expr[k]
+        return _reduce(den, expr), expr
+
+    def _update(self, var: int, value: Fraction) -> None:
+        """Move non-basic var to value and every basic variable with it."""
+        delta = value - self._beta[var]
+        if not delta:
+            return
+        self._beta[var] = value
+        for bv, row in self._tab.items():
+            c = row.get(var)
+            if c:
+                self._beta[bv] += _scaled(delta, c, self._den[bv])
+
+    def _pivot(self, bv: int, j: int) -> None:
+        row = self._tab.pop(bv)
+        den = self._den.pop(bv)
+        p = row.pop(j)
+        # x_j = (den * x_bv - sum(row[k] * x_k)) / p.  The new row has the
+        # old row's entries up to sign, so its gcd stays 1.
+        if p > 0:
+            new = {bv: den}
+            for k, v in row.items():
+                new[k] = -v
+        else:
+            p = -p
+            new = {bv: -den}
+            new.update(row)
+        for other, orow in self._tab.items():
+            f = orow.pop(j, None)
+            if f:
+                self._den[other] = _eliminate(orow, self._den[other], f, new, p)
+        self._tab[j] = new
+        self._den[j] = p
+        self.pivots += 1
+
+    def _pivot_and_update(self, bv: int, j: int, target: Fraction) -> None:
+        """Move x_j until basic bv reaches target, then swap the two."""
+        theta = _scaled(target - self._beta[bv], self._den[bv], self._tab[bv][j])
+        self._update(j, self._beta[j] + theta)
+        self._pivot(bv, j)
+
+    def _can_move(self, j: int, sign: int) -> bool:
+        """Whether x_j can increase (sign > 0) or decrease (sign < 0)."""
+        if sign > 0:
+            up = self._up[j]
+            return up is None or self._beta[j] < up[0]
+        lo = self._lo[j]
+        return lo is None or self._beta[j] > lo[0]
+
+    def _entering(self, row: dict[int, int], sign: int) -> Optional[int]:
+        """Bland's choice: the least x_j of row that can move row by sign."""
+        for j in sorted(row):
+            if self._can_move(j, sign if row[j] > 0 else -sign):
+                return j
+        return None
+
+    def _explain(self, row: dict[int, int], den: int, sign: int) -> list[Atom]:
+        """The bounds that stop every x_j of row / den from moving it by sign."""
+        return [((self._up if c * sign > 0 else self._lo)[j][1], Fraction(abs(c), den))
+                for j, c in row.items()]
+
+    # -- feasibility -----------------------------------------------------
+
+    def check(self) -> Optional[list[Atom]]:
+        """Repair the assignment; None when feasible, else conflict atoms.
+
+        The conflict is a list of (source, multiplier) pairs whose
+        inequality combination is constant and violated.  Bland's rule
+        (smallest variable index everywhere) guarantees termination.
+        """
+        if self._dead is not None:
+            return [(self._dead, _ONE)]
+        for var in range(len(self._beta)):
+            lo, up = self._lo[var], self._up[var]
+            if lo is not None and up is not None and lo[0] > up[0]:
+                return [(lo[1], _ONE), (up[1], _ONE)]
+        # Clamp non-basic variables back into their bounds; pushed bounds
+        # may have left them outside.
+        for var in range(len(self._beta)):
+            if var in self._tab:
+                continue
+            lo, up = self._lo[var], self._up[var]
+            if lo is not None and self._beta[var] < lo[0]:
+                self._update(var, lo[0])
+            elif up is not None and self._beta[var] > up[0]:
+                self._update(var, up[0])
+        while True:
+            # The least violated basic variable, and the sign it must move by.
+            for bv in sorted(self._tab):
+                lo, up = self._lo[bv], self._up[bv]
+                if lo is not None and self._beta[bv] < lo[0]:
+                    sign, bound = 1, lo
+                    break
+                if up is not None and self._beta[bv] > up[0]:
+                    sign, bound = -1, up
+                    break
+            else:
+                return None
+            row = self._tab[bv]
+            enter = self._entering(row, sign)
+            if enter is None:
+                return [(bound[1], _ONE), *self._explain(row, self._den[bv], sign)]
+            self._pivot_and_update(bv, enter, bound[0])
+
+    def assignment(self) -> list[Fraction]:
+        return self._beta[: self.nvars]
+
+    # -- optimization ------------------------------------------------------
+
+    def optimize_max(self, h: dict[int, Fraction]):
+        """Maximize sum(h[j] * x_j) over the rows and the stacked bounds.
+
+        Returns ("infeasible", atoms), ("unbounded", ray_over_all_vars) or
+        ("optimal", value, dual_atoms).  Must be re-run after stack changes.
+        The reduced-cost row is built once, in the tableau's integer form,
+        and updated by the same elimination as the rows at every pivot.
+        """
+        conflict = self.check()
+        if conflict is not None:
+            return ("infeasible", conflict)
+        dden, d = self._combine(h.items())
+        while True:
+            j = self._entering(d, 1)
+            if j is None:
+                value = sum((hp * self._beta[p] for p, hp in h.items()), _ZERO)
+                return ("optimal", value, self._explain(d, dden, 1))
+            sgn = 1 if d[j] > 0 else -1
+            own = (self._up if sgn > 0 else self._lo)[j]
+            best_t = best_bv = best_target = None
+            for bv in sorted(self._tab):
+                c = self._tab[bv].get(j)
+                if not c:
+                    continue
+                eff = c * sgn
+                bound = (self._up if eff > 0 else self._lo)[bv]
+                if bound is None:
+                    continue
+                t = _scaled(bound[0] - self._beta[bv], self._den[bv], eff)
+                if best_t is None or t < best_t:
+                    best_t, best_bv, best_target = t, bv, bound[0]
+            if own is None and best_t is None:
+                ray = {j: Fraction(sgn)}
+                for bv, row in self._tab.items():
+                    c = row.get(j)
+                    if c:
+                        ray[bv] = Fraction(c * sgn, self._den[bv])
+                return ("unbounded", ray)
+            if best_t is None or (own is not None and (own[0] - self._beta[j]) * sgn <= best_t):
+                self._update(j, own[0])
+            else:
+                self._pivot_and_update(best_bv, j, best_target)
+                dden = _eliminate(d, dden, d.pop(j), self._tab[j], self._den[j])
+
+
+def _scaled(x: Fraction, num: int, den: int) -> Fraction:
+    """x * num / den for integers num and den != 0."""
+    return Fraction(x.numerator * num, x.denominator * den)
+
+
+def ref_instance_for(sys):
+    """``simplex.instance_for`` on the reference simplex."""
+    inst = RefSimplexInstance(sys.n)
+    for i in range(sys.m):
+        inst.add_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
+    return inst

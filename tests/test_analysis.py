@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys as _pysys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -19,6 +24,8 @@ from mehsolve.model import ConstraintSystem, VarInfo, VarKind
 from mehsolve.simplex import Feasible, Infeasible, Optimal, SimplexInstance, check_feasible
 
 from helpers import mk_system, systems
+
+TESTS = Path(__file__).resolve().parent
 
 BAND = [[3, -3], [-3, 3]]  # 1 <= 3x1 - 3x2 <= 2 when paired with bounds [2, -1]
 
@@ -139,6 +146,60 @@ class _CorruptCone(SimplexInstance):
         if self.on_cone:
             return self.corrupt(super().check)
         return super().check()
+
+
+class _FixedPoint(SimplexInstance):
+    """A tableau whose checks all pass and whose assignment is ``point``."""
+
+    point = None
+
+    def check(self):
+        return None
+
+    def assignment(self):
+        return self.point
+
+
+# No two normals are opposite, so the cone bounds both rows by -1: the
+# point must have x/2 + y/3 <= -1 and -y/5 <= -1.
+SCALED_CONE = mk_system([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-1, 5)]], [0, 0], "qq")
+
+
+def cone_point_outcomes():
+    """What _cone_equalities makes of SCALED_CONE at a point on its cone
+    face, and at points 1/14 and 1/5 past one row."""
+    out = []
+    for point in ([Fraction(-16, 3), Fraction(5)], [Fraction(-16, 3) + Fraction(1, 7), Fraction(5)],
+                  [Fraction(-6), Fraction(4)]):
+        inst = _FixedPoint(SCALED_CONE.n)
+        for row, b in zip(SCALED_CONE.matrix.rows, SCALED_CONE.bounds):
+            inst.add_row(row, b)
+        inst.point = point
+        try:
+            out.append(analysis._cone_equalities(SCALED_CONE, inst))
+        except AssertionError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_cone_point_off_a_row_raises():
+    # An explicit raise, not an assert: the point check holds under
+    # python -O too.  The rows have denominators 2, 3 and 5, so the check
+    # runs on integer rows over a common denominator, and a point that
+    # misses a row by 1/14 is caught.
+    want = [[], "recession cone point violates a row; simplex bug",
+            "recession cone point violates a row; simplex bug"]
+    assert cone_point_outcomes() == want
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(TESTS.parent / "src"), str(TESTS)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import json, test_analysis as t; "
+            "print(json.dumps([__debug__, t.cone_point_outcomes()]))")
+    proc = subprocess.run([_pysys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, want]
 
 
 class TestClassify:

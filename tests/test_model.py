@@ -46,6 +46,27 @@ class TestConstraintSystem:
         sys = mk_system([[1, 2, 3]], [1], "qzz")
         assert (sys.m, sys.n, sys.n1, sys.n2) == (1, 3, 1, 2)
 
+    @given(systems(), st.lists(st.integers(0, 4), max_size=6), st.booleans())
+    def test_subset_is_the_system_of_its_rows(self, sys, picks, converted):
+        # subset skips the constructor's checks, which its rows have passed,
+        # and hands on the integer rows when they are already computed.
+        rows = [i % sys.m for i in picks]
+        if converted:
+            sys.int_rows
+        sub = sys.subset(rows)
+        fresh = ConstraintSystem(Matrix([sys.matrix.rows[i] for i in rows]) if rows
+                                 else Matrix.zeros(0, sys.n),
+                                 [sys.bounds[i] for i in rows], sys.variables, sys.user_perm)
+        assert (sub.matrix, sub.bounds, sub.variables, sub.n1, sub.user_perm) == \
+            (fresh.matrix, fresh.bounds, fresh.variables, fresh.n1, fresh.user_perm)
+        assert (sub.m, sub.n) == (fresh.m, fresh.n)
+        assert ("int_rows" in vars(sub)) == converted
+        assert sub.int_rows == fresh.int_rows
+        before = [row[:] for row in sys.matrix.rows]
+        for row in sub.matrix.rows:
+            row[:] = [Fraction(7)] * sys.n
+        assert sys.matrix.rows == before
+
 
 class TestNormalize:
     def test_keeps_plain_system(self):

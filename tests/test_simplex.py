@@ -24,7 +24,7 @@ from mehsolve.simplex import (
     optimize_each,
 )
 
-from helpers import mk_system, systems
+from helpers import RefSimplexInstance, mk_system, systems
 
 
 class TestCheckFeasible:
@@ -70,11 +70,15 @@ class TestCheckFeasible:
 
 
 class _PivotCapped(SimplexInstance):
+    """Fails on more pivots than bases, or on a pivot that breaks the tableau."""
+
     cap = 0
 
     def _pivot(self, bv, j):
         assert self.pivots < self.cap, "more pivots than bases"
+        assert_tableau_invariants(self)
         super()._pivot(bv, j)
+        assert_tableau_invariants(self)
 
 
 class TestOptimize:
@@ -334,9 +338,22 @@ class TestSetRowBounds:
             inst.set_row_bounds([Fraction(2)])
 
 
+def assert_pair(pair):
+    """An integer pair (num, den) with den > 0 and gcd 1."""
+    num, den = pair
+    assert type(num) is int and type(den) is int
+    assert den > 0 and math.gcd(num, den) == 1
+
+
 def assert_tableau_invariants(inst):
-    """Every row: integers over a positive denominator, gcd 1, no zero, holds at beta."""
-    beta = inst._beta
+    """Every row: integers over a positive denominator, gcd 1, no zero, holds
+    at the assignment; every value and bound: a reduced integer pair."""
+    for pair in inst._beta:
+        assert_pair(pair)
+    for bound in inst._lo + inst._up:
+        if bound is not None:
+            assert_pair(bound[:2])
+    beta = [Fraction(*pair) for pair in inst._beta]
     assert inst._tab.keys() == inst._den.keys()
     for bv, row in inst._tab.items():
         den = inst._den[bv]
@@ -345,6 +362,68 @@ def assert_tableau_invariants(inst):
         assert math.gcd(den, *row.values()) == 1
         assert not inst._tab.keys() & row.keys()
         assert beta[bv] * den == sum(c * beta[k] for k, c in row.items())
+
+
+def _outcome(inst, op, args):
+    """What inst.op(*args) returns, or the type of the error it raises."""
+    try:
+        return getattr(inst, op)(*args)
+    except (ValueError, EmptyStackError) as exc:
+        return type(exc)
+
+
+# Mostly small integers, so that ratio-test ties and degenerate steps are common.
+_values = st.one_of(st.integers(-2, 2).map(Fraction),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+class TestReferenceSimplex:
+    """The integer-pair simplex against the Fraction one of tests/helpers.py."""
+
+    @given(systems(max_m=6, max_n=3),
+           st.lists(st.one_of(
+               st.tuples(st.just("add_row"), st.tuples(
+                   st.lists(_values, min_size=3, max_size=3), _values,
+                   st.just("row"), st.integers(0, 9))),
+               st.tuples(st.just("push_bound"), st.tuples(
+                   st.integers(0, 2), st.sampled_from(["lo", "up"]), _values,
+                   st.just("branch"), st.integers(0, 9))),
+               st.tuples(st.just("pop_bound"), st.just(())),
+               st.tuples(st.just("check"), st.just(())),
+               st.tuples(st.just("optimize_max"), st.tuples(
+                   st.dictionaries(st.integers(0, 2), _values, min_size=1))),
+               st.tuples(st.just("set_row_bounds"), st.tuples(
+                   st.lists(_values, min_size=0, max_size=10)))),
+               max_size=24))
+    # A tie between two rows in the ratio test.
+    @example(mk_system([[-1, -2], [-1, -1]], [1, 1], "qq"),
+             [("optimize_max", ({0: Fraction(-2), 1: Fraction(-2)},))])
+    # A tie between the entering variable's own bound and a row.
+    @example(mk_system([[-1, 1], [-1, 0]], [2, 2], "qq"),
+             [("optimize_max", ({0: Fraction(-1)},))])
+    def test_interleaved_calls(self, sys, ops):
+        # After sys's rows, the same calls make the same pivots and return
+        # the same conflict atoms, assignments and optimization results.
+        # Out-of-order calls (a row after a push, a pop on an empty stack,
+        # a bound list of the wrong length) fail the same way.
+        n = sys.n
+        new, ref = SimplexInstance(n), RefSimplexInstance(n)
+        rows = [("add_row", (row, b, "row", i))
+                for i, (row, b) in enumerate(zip(sys.matrix.rows, sys.bounds))]
+        for op, args in rows + ops:
+            if op == "add_row":
+                args = (args[0][:n], *args[1:])
+            elif op == "push_bound":
+                args = (args[0] % n, *args[1:])
+            elif op == "optimize_max":
+                args = ({j % n: c for j, c in args[0].items()},)
+            elif op == "set_row_bounds" and len(args[0]) >= len(ref._rows):
+                args = (args[0][:len(ref._rows)],)
+            assert _outcome(new, op, args) == _outcome(ref, op, args)
+            assert (new.pivots, new._tab, new._den) == (ref.pivots, ref._tab, ref._den)
+            assert [Fraction(*pair) for pair in new._beta] == ref._beta
+            assert new.assignment() == ref.assignment()
+            assert_tableau_invariants(new)
 
 
 class TestTableauInvariants:

@@ -15,12 +15,14 @@ from mehsolve.bench import bench_directory, format_report
 from mehsolve.bruteforce import BoxTooLargeError, brute_force_solve
 from mehsolve.cli import main
 from mehsolve.generators import GenParams, gen_random_unbounded
-from mehsolve.model import Sat, check_model
+from mehsolve.model import Budget, Sat, check_model
+from mehsolve.simplex import SimplexInstance
 from mehsolve.smtlib import parse
 from mehsolve.solver import SolveOptions, VarBounds, solve
 
 from helpers import (
-    mk_system, nested_sum, ref_column_reduce, ref_hermite_normal_form, same_results)
+    mk_system, nested_sum, ref_column_reduce, ref_hermite_normal_form, ref_instance_for,
+    same_results)
 
 BAND = "(set-logic QF_LIA)(declare-fun x () Int)(declare-fun y () Int)" \
        "(assert (<= 1 (- (* 3 x) (* 3 y))))(assert (<= (- (* 3 x) (* 3 y)) 2))" \
@@ -252,6 +254,20 @@ def _perfbench_module(name):
     return module
 
 
+def test_make_suites_checks_each_base_instance(tmp_path, monkeypatch):
+    # An explicit check, not an assert: under python -O a base instance
+    # that is not unsat still stops the generation.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_suites.py"
+    spec = importlib.util.spec_from_file_location("_make_suites", path)
+    make_suites = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_suites)
+    monkeypatch.setattr(make_suites, "solve", lambda sys_: Budget())
+    monkeypatch.setattr(_pysys, "argv", ["make_suites.py", "--out", str(tmp_path),
+                                         "--count", "1"])
+    with pytest.raises(RuntimeError, match="base instance must be unsat"):
+        make_suites.main()
+
+
 def test_benchmark_bindings_exist():
     # perfbench/tracing.py wraps these module and class attributes; a
     # renamed or removed one would otherwise surface only when the
@@ -338,3 +354,55 @@ def test_kernels_match_the_reference_on_benchmark_traffic(monkeypatch):
     assert {"column_reduce", "hermite_normal_form"} <= set(calls) and len(calls) > 300
     # V's growth on the ladder is that of the same steps on Fractions.
     assert ladder[-1].name == "unbounded_n16" and bits[-1] == 36
+
+
+def test_simplex_matches_the_reference_on_benchmark_traffic(monkeypatch):
+    # Every tableau the pipeline builds, through the instance_for bindings
+    # perfbench/tracing.py wraps, on the seed-1 scale_unbounded ladder and
+    # a bounded_planted slice: the reference simplex of tests/helpers.py,
+    # built on the same system and given the same calls, makes the same
+    # pivots and returns the same conflicts, assignments and optima.
+    workloads = _perfbench_module("workloads")
+    built = []
+    real_for = simplex.instance_for
+
+    def instance_for(sys_):
+        inst = real_for(sys_)
+        inst.calls = []
+        built.append((sys_, inst, [Fraction(*pair) for pair in inst._beta]))
+        return inst
+
+    monkeypatch.setattr(simplex, "instance_for", instance_for)
+    monkeypatch.setattr(solver, "instance_for", instance_for)
+    nested = []   # the calls in progress; only outermost ones are recorded
+    for name in ("check", "push_bound", "pop_bound", "set_row_bounds", "_maximize"):
+        def recorded(self, *args, real=getattr(SimplexInstance, name), name=name):
+            nested.append(name)
+            try:
+                result = real(self, *args)
+            finally:
+                nested.pop()
+            if not nested:
+                tableau = (self.pivots, {bv: dict(row) for bv, row in self._tab.items()},
+                           dict(self._den))
+                self.calls.append((name, args, result, tableau,
+                                   [Fraction(*pair) for pair in self._beta]))
+            return result
+        monkeypatch.setattr(SimplexInstance, name, recorded)
+    texts = [inst.text for inst in workloads.scale_unbounded(1).instances()]
+    texts += [inst.text for inst in workloads.bounded_planted(1, blocks=16).instances()]
+    for text in texts:
+        solve(parse(text))
+    replayed = set()
+    for sys_, inst, beta in built:
+        ref = ref_instance_for(sys_)
+        assert ref._beta == beta
+        for name, args, result, tableau, beta in inst.calls:
+            replayed.add(name)
+            if name == "_maximize":
+                obj, den = args
+                name, args = "optimize_max", ({j: Fraction(c, den) for j, c in obj.items()},)
+            assert getattr(ref, name)(*args) == result
+            assert ((ref.pivots, ref._tab, ref._den), ref._beta) == (tableau, beta)
+    assert replayed == {"check", "push_bound", "pop_bound", "set_row_bounds", "_maximize"}
+    assert len(built) > 100 and sum(inst.pivots for _, inst, _ in built) > 500
