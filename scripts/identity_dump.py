@@ -9,7 +9,9 @@ solves every instance with this checkout's sources and prints
 ``workload seed name verdict classification nodes pivots witness``, where
 ``pivots`` is the summed ``SimplexInstance.pivots`` of every tableau the
 solve built and the witness is the ``repr`` of the model, certificate or
-refutation (with ``--digest``, the SHA-256 of that ``repr``).  Tableaux are
+refutation (with ``--digest``, the SHA-256 of that ``repr``).  Refutation
+trees are printed without recursion, with exactly ``repr``'s text, so
+that trees deeper than the recursion limit print too.  Tableaux are
 collected by wrapping the ``instance_for`` bindings the pipeline calls, as
 ``perfbench/tracing.py`` does.  Copy the script into another checkout and
 diff the two outputs: identical output means identical verdicts, witnesses
@@ -26,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (puts the checkout's src/ on the path)
 from mehsolve import simplex, smtlib, solver  # noqa: E402
 from mehsolve.model import Budget, Sat  # noqa: E402
+from mehsolve.solver import RefutationNode  # noqa: E402
 
 
 def collect_tableaux() -> list:
@@ -42,6 +45,22 @@ def collect_tableaux() -> list:
     return tableaux
 
 
+def witness_text(witness) -> str:
+    """``repr(witness)``, built with a stack instead of recursion into subtrees."""
+    parts = []
+    work = [witness]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, RefutationNode):
+            work += [")", item.high, ", high=", item.low,
+                     f"{type(item).__qualname__}(cut={item.cut!r}, low="]
+        else:
+            parts.append(repr(item))
+    return "".join(parts)
+
+
 def dump_line(workload: str, seed: int, inst, digest: bool, tableaux: list) -> str:
     tableaux.clear()
     res = solver.solve(smtlib.parse(inst.text))
@@ -49,9 +68,9 @@ def dump_line(workload: str, seed: int, inst, digest: bool, tableaux: list) -> s
     if isinstance(res, Budget):
         verdict, witness = "budget", repr(res.stats.budget_reason)
     elif isinstance(res, Sat):
-        verdict, witness = "sat", repr(res.model)
+        verdict, witness = "sat", witness_text(res.model)
     else:
-        verdict, witness = "unsat", repr(res.certificate)
+        verdict, witness = "unsat", witness_text(res.certificate)
     if digest:
         witness = hashlib.sha256(witness.encode()).hexdigest()
     return (f"{workload} {seed} {inst.name} {verdict} {res.stats.classification} "

@@ -28,10 +28,10 @@ from typing import Sequence
 
 from . import simplex
 from .linalg import column_reduce, int_row
-from .model import ConstraintSystem, check_certificate
+from .model import ConstraintSystem, is_farkas
 from .simplex import (
     Infeasible, Optimal, SimplexInstance, UnboundedDirection, _certified,
-    atoms_to_certificate, check_feasible, optimize, optimize_int_rows)
+    atoms_to_certificate, check_feasible, optimize, optimize_each)
 
 
 class InfeasibleSystemError(ValueError):
@@ -206,8 +206,7 @@ def _cone_equalities(sys: ConstraintSystem, inst: SimplexInstance) -> list[int]:
             break
         cert = atoms_to_certificate(conflict, sys.m)
         # y b < 0 for these bounds: y >= 0, y A = 0, and some new row in y.
-        if not check_certificate(
-                ConstraintSystem(sys.matrix, cone, sys.variables, sys.user_perm), cert):
+        if not is_farkas(zip(cert.y, sys.matrix.rows, cone), sys.n):
             raise AssertionError("recession cone conflict is not a certificate; simplex bug")
         known.update(i for i, y in enumerate(cert.y) if y)
     # Row i at the point is (ints . point) / (den * scale).
@@ -246,7 +245,7 @@ def split(sys: ConstraintSystem, cls: Classification) -> SplitSystem:
     unbounded_idx = [i for i in range(sys.m) if i not in cls.bounded_rows]
     bounded = sys.subset(bounded_idx)
     unbounded = sys.subset(unbounded_idx)
-    results = optimize_int_rows(bounded, bounded.int_rows, "min")
+    results = optimize_each(bounded, bounded.int_rows, "min")
     if not all(isinstance(res, Optimal) for res in results):
         raise AssertionError(
             "bounded part is not self-contained; upstream classification bug")

@@ -3,6 +3,9 @@
 The verifiers ``check_model`` and ``check_certificate`` share no code with
 the simplex engine or the transformation pipeline; they are the trust
 anchor every solver result is checked against before it is returned.
+One kernel, ``farkas_sum``, sums every Farkas combination y (A | b) over
+the ``(y, a, b)`` terms its caller names; a refutation leaf names only
+the rows and cuts its multipliers touch.
 """
 
 from __future__ import annotations
@@ -11,9 +14,12 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .linalg import Matrix, frac, int_row
+
+
+_ZERO = Fraction(0)
 
 
 class DimensionMismatchError(ValueError):
@@ -217,20 +223,32 @@ def check_model(sys: ConstraintSystem, model: Model) -> bool:
     return all(v <= b for v, b in zip(lhs, sys.bounds))
 
 
-def check_certificate(sys: ConstraintSystem, cert: FarkasCertificate) -> bool:
-    """Exact check: y >= 0, y^T A = 0 and y^T b < 0."""
-    y = cert.multiplier_vector(sys.m)
-    if any(v < 0 for v in y):
-        return False
-    combo = [Fraction(0)] * sys.n
-    rhs = Fraction(0)
-    for mult, row, b in zip(y, sys.matrix.rows, sys.bounds):
+def farkas_sum(terms: Iterable[tuple], n: int) -> Optional[tuple[list[Fraction], Fraction]]:
+    """(sum of y a, sum of y b) over the (y, a, b) terms, each a of length n;
+    None when some multiplier y is negative."""
+    combo = [_ZERO] * n
+    rhs = _ZERO
+    for mult, row, b in terms:
+        if mult < 0:
+            return None
         if mult:
             rhs += mult * b
             for j, a in enumerate(row):
                 if a:
                     combo[j] += mult * a
-    return not any(combo) and rhs < 0
+    return combo, rhs
+
+
+def is_farkas(terms: Iterable[tuple], n: int) -> bool:
+    """Whether the (y, a, b) terms have y >= 0, sum y a = 0 and sum y b < 0."""
+    total = farkas_sum(terms, n)
+    return total is not None and not any(total[0]) and total[1] < 0
+
+
+def check_certificate(sys: ConstraintSystem, cert: FarkasCertificate) -> bool:
+    """Exact check: y >= 0, y^T A = 0 and y^T b < 0."""
+    y = cert.multiplier_vector(sys.m)
+    return is_farkas(zip(y, sys.matrix.rows, sys.bounds), sys.n)
 
 
 def format_model(sys: ConstraintSystem, model: Model) -> str:

@@ -25,11 +25,11 @@ the same values as on a rational tableau.  The certificate checks in
 ``model`` stay on ``Fraction`` and do not use the tableau's arithmetic.
 
 Conflicts and optimal duals are reported as lists of ``(BoundSource,
-multiplier)`` atoms.  For plain constraint systems the module-level
-wrappers ``check_feasible`` and ``optimize_each`` (with ``optimize``, its
-one-objective case) assemble those atoms into Farkas certificates over
-the system's rows and re-verify them with the independent checker before
-returning.
+multiplier)`` atoms (``atom_multipliers`` splits them into rows and pushed
+bounds).  For plain constraint systems the module-level wrappers
+``check_feasible`` and ``optimize_each`` (with ``optimize``, its
+one-objective converter) assemble them into Farkas certificates over the
+system's rows and re-verify them with the independent checker.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import int_row
-from .model import ConstraintSystem, FarkasCertificate, check_certificate
+from .model import ConstraintSystem, FarkasCertificate, check_certificate, farkas_sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -527,14 +527,25 @@ def instance_for(sys: ConstraintSystem) -> SimplexInstance:
     return inst
 
 
+def atom_multipliers(atoms: list[Atom]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """Multipliers of the atoms' rows (each divided by its scale) and pushed
+    bounds, keyed by source index in the order the atoms come."""
+    rows: dict[int, Fraction] = {}
+    pushed: dict[int, Fraction] = {}
+    for src, mult in atoms:
+        if src.kind == "row":
+            rows[src.index] = rows.get(src.index, _ZERO) + mult / src.scale
+        else:
+            pushed[src.index] = pushed.get(src.index, _ZERO) + mult
+    return rows, pushed
+
+
 def atoms_to_certificate(atoms: list[Atom], m: int) -> FarkasCertificate:
     """Assemble row-sourced conflict atoms into a certificate over m rows."""
-    y = [_ZERO] * m
-    for src, mult in atoms:
-        if src.kind != "row":
-            raise SimplexInternalError(f"unexpected atom source {src.kind!r}")
-        y[src.index] += mult / src.scale
-    return FarkasCertificate(y)
+    rows, pushed = atom_multipliers(atoms)
+    if pushed or not all(0 <= i < m for i in rows):
+        raise SimplexInternalError("conflict atom is not on a row of the system")
+    return FarkasCertificate([rows.get(i, _ZERO) for i in range(m)])
 
 
 def check_feasible(sys: ConstraintSystem) -> Feasible | Infeasible:
@@ -556,31 +567,22 @@ def _certified(sys: ConstraintSystem, atoms: list[Atom]) -> Infeasible:
 
 def optimize(sys: ConstraintSystem, h: Sequence[Fraction], sense: str) -> OptOutcome:
     """Optimize h . x over the system; sense is "min" or "max"."""
-    return optimize_each(sys, [h], sense)[0]
+    hvec = [Fraction(x) for x in h]
+    if len(hvec) != sys.n:
+        raise ValueError("objective length does not match variable count")
+    if not any(hvec):
+        raise ValueError("objective must be non-zero")
+    return optimize_each(sys, [int_row(hvec)], sense)[0]
 
 
-def optimize_each(sys: ConstraintSystem, objectives: Sequence, sense: str) -> list[OptOutcome]:
+def optimize_each(sys: ConstraintSystem, goals: Sequence[tuple[list[int], int]],
+                  sense: str) -> list[OptOutcome]:
     """Optimize each objective in turn over one tableau of the system.
 
-    Every LP after the first re-optimizes from the basis the one before it
-    left; each outcome is re-verified against sys as ``optimize``'s is.
-    """
-    goals = []
-    for h in objectives:
-        hvec = [Fraction(x) for x in h]
-        if len(hvec) != sys.n:
-            raise ValueError("objective length does not match variable count")
-        if not any(hvec):
-            raise ValueError("objective must be non-zero")
-        goals.append(int_row(hvec))
-    return optimize_int_rows(sys, goals, sense)
-
-
-def optimize_int_rows(sys: ConstraintSystem, goals: Sequence[tuple[list[int], int]],
-                      sense: str) -> list[OptOutcome]:
-    """``optimize_each`` of objectives given as ``linalg.int_row`` pairs (ints, den).
-
-    ``split`` hands it the rows of sys as ``sys.int_rows`` holds them.
+    Each goal is a non-zero objective as ``linalg.int_row`` gives it,
+    (ints, den); ``split`` hands over the rows of sys as ``sys.int_rows``
+    holds them.  Every LP after the first re-optimizes from the basis the
+    one before it left; each outcome is re-verified against sys.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
@@ -610,17 +612,8 @@ def _optimize_on(sys: ConstraintSystem, inst: SimplexInstance, ints, den, sense)
 
 
 def _verify_dual(sys: ConstraintSystem, goal, maxvalue, dual) -> None:
-    combo = [_ZERO] * sys.n
-    rhs = _ZERO
-    for mult, row, b in zip(dual, sys.matrix.rows, sys.bounds):
-        if mult < 0:
-            raise SimplexInternalError("negative dual multiplier")
-        if mult:
-            rhs += mult * b
-            for j, a in enumerate(row):
-                if a:
-                    combo[j] += mult * a
-    if combo != goal or rhs != maxvalue:
+    total = farkas_sum(zip(dual, sys.matrix.rows, sys.bounds), sys.n)
+    if total is None or total[0] != goal or total[1] != maxvalue:
         raise SimplexInternalError("optimal dual failed re-verification")
 
 

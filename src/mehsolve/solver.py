@@ -14,7 +14,10 @@ Unsatisfiability of a mixed system that is rationally feasible cannot be
 witnessed by a single Farkas certificate; branch-and-bound therefore
 returns a *branch refutation*: a binary tree of integer-valid cuts whose
 leaves carry Farkas certificates over the system plus the cuts on the
-path.  ``check_refutation`` verifies such trees independently.
+path.  ``check_refutation`` verifies such trees independently, in one
+walk: each leaf's certificate is summed by ``model.farkas_sum`` over the
+rows and path cuts its multipliers name, so the check is linear in the
+tree, and no system is rebuilt for a leaf.
 
 Only ``solve`` checks witnesses.  Its ``_finalize`` is the one trust
 boundary: every Sat result is checked with ``check_model`` and every Unsat
@@ -53,9 +56,10 @@ from .model import (
     VarKind,
     check_certificate,
     check_model,
+    is_farkas,
     normalize,
 )
-from .simplex import Infeasible, check_feasible, instance_for
+from .simplex import Infeasible, atom_multipliers, check_feasible, instance_for
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -149,32 +153,42 @@ def check_refutation(sys: ConstraintSystem, refutation) -> bool:
 
     Each inner node must carry an integer-valid cut and each leaf a Farkas
     certificate of the system extended by the active sides of the cuts on
-    its path.  A valid tree proves the system has no mixed solution.
+    its path.  A valid tree proves the system has no mixed solution.  One
+    walk keeps the active cut sides of its path, and a leaf is summed over
+    the rows and path cuts it names only.
     """
-    if isinstance(refutation, RefutationLeaf):
-        return not refutation.cut_mults and _check_leaf(sys, refutation, [])
-    work = [("visit", refutation)]
-    path: list[tuple[Cut, str]] = []
+    path: list[tuple[list[Fraction], Fraction]] = []
+    work = [(refutation, 0, None)]   # (node, depth, active side of its parent's cut)
     while work:
-        action, payload = work.pop()
-        if action == "leave":
-            path.pop()
-        elif action == "switch":
-            path[-1] = (payload, "high")
-        else:
-            node = payload
-            if isinstance(node, RefutationLeaf):
-                if not _check_leaf(sys, node, path):
-                    return False
-                continue
-            if not _valid_cut(sys, node.cut):
+        node, depth, side = work.pop()
+        del path[depth:]
+        if side is not None:
+            path.append(side)
+        if isinstance(node, RefutationLeaf):
+            if not _check_leaf(sys, node, path):
                 return False
-            path.append((node.cut, "low"))
-            work.append(("leave", None))
-            work.append(("visit", node.high))
-            work.append(("switch", node.cut))
-            work.append(("visit", node.low))
+            continue
+        cut = node.cut
+        if not _valid_cut(sys, cut):
+            return False
+        low = (cut.coeffs, Fraction(cut.value))
+        high = ([-c for c in cut.coeffs], Fraction(-(cut.value + 1)))
+        work.append((node.high, len(path), high))
+        work.append((node.low, len(path), low))
     return True
+
+
+def _check_leaf(sys: ConstraintSystem, leaf: RefutationLeaf,
+                path: list[tuple]) -> bool:
+    """Whether the leaf's multipliers refute the rows and path cuts they name."""
+    if any(d not in range(len(path)) for d in leaf.cut_mults):
+        return False
+    if any(not 0 <= i < sys.m for i in leaf.row_mults):
+        return False
+    rows, bounds = sys.matrix.rows, sys.bounds
+    terms = [(y, rows[i], bounds[i]) for i, y in leaf.row_mults.items()]
+    terms += [(y, *path[d]) for d, y in leaf.cut_mults.items()]
+    return is_farkas(terms, sys.n)
 
 
 def _map_tree(root, leaf_fn, cut_fn):
@@ -196,30 +210,6 @@ def _map_tree(root, leaf_fn, cut_fn):
             low = done.pop()
             done.append(RefutationNode(cut_fn(node.cut), low, high))
     return done[0]
-
-
-def _check_leaf(sys: ConstraintSystem, leaf: RefutationLeaf,
-                path: list[tuple]) -> bool:
-    if any(d not in range(len(path)) for d in leaf.cut_mults):
-        return False
-    rows = [list(r) for r in sys.matrix.rows]
-    bounds = list(sys.bounds)
-    for cut, side in path:
-        if side == "low":
-            rows.append(list(cut.coeffs))
-            bounds.append(Fraction(cut.value))
-        else:
-            rows.append([-c for c in cut.coeffs])
-            bounds.append(Fraction(-(cut.value + 1)))
-    extended = ConstraintSystem(Matrix(rows), bounds, sys.variables, sys.user_perm)
-    y = [_ZERO] * extended.m
-    for i, mult in leaf.row_mults.items():
-        if not 0 <= i < sys.m:
-            return False
-        y[i] += mult
-    for d, mult in leaf.cut_mults.items():
-        y[sys.m + d] += mult
-    return check_certificate(extended, FarkasCertificate(y))
 
 
 # -- bound propagation -------------------------------------------------------
@@ -343,14 +333,7 @@ def branch_and_bound(
                 return Budget(stats)
             conflict = inst.check()
             if conflict is not None:
-                row_mults: dict[int, Fraction] = {}
-                cut_mults: dict[int, Fraction] = {}
-                for src, mult in conflict:
-                    if src.kind == "row":
-                        row_mults[src.index] = row_mults.get(src.index, _ZERO) + mult / src.scale
-                    else:
-                        cut_mults[src.index] = cut_mults.get(src.index, _ZERO) + mult
-                results.append(RefutationLeaf(row_mults, cut_mults))
+                results.append(RefutationLeaf(*atom_multipliers(conflict)))
                 continue
             beta = inst.assignment()
             var = _pick_branch_var(sys, beta)
@@ -368,7 +351,8 @@ def branch_and_bound(
             work.append(("push", (var, "up", Fraction(f), "branch", d)))
     finally:
         stats.lp_pivots += inst.pivots
-    assert len(results) == 1, "branch tree bookkeeping failed"
+    if len(results) != 1:
+        raise InternalSoundnessError("branch tree bookkeeping failed")
     refutation = results[0]
     if isinstance(refutation, RefutationLeaf):
         refutation = _farkas(refutation, sys.m)
@@ -407,32 +391,28 @@ def unit_cube_test(sys: ConstraintSystem) -> Optional[Model]:
 # -- mixed extension -----------------------------------------------------------
 
 
-def mixed_extension(
-    v: TransformMatrix,
-    h: Matrix,
-    t: Model,
-    unbounded: Optional[ConstraintSystem] = None,
-) -> Model:
+def mixed_extension(v: TransformMatrix, h: Matrix, t: Model, ride_bounds: Sequence = ()) -> Model:
     """Extend a model of the transformed bounded part to the full system.
 
-    h holds the top rows of the normal form and ``unbounded`` the residual
-    system U V y <= b_U, whose rows rode along the column steps of
-    ``batch_mehnf``.  Columns with non-zero entries in h are fixed by t;
-    the residual system is restricted to the remaining (gap) columns and
-    solved with the unit cube test, which cannot fail there because every
-    direction of it is unbounded.  Returns V t' in original coordinates.
-    Without ``unbounded`` (the bounded route) the result is V t.  The
-    model is returned unchecked.
+    h is read in place as ``batch_mehnf`` made it: the normal form on top,
+    then one riding row of U V per bound in ``ride_bounds``.  Columns with
+    non-zero entries in the normal form are fixed by t; the residual
+    system U V y <= ride_bounds is restricted to the remaining (gap)
+    columns, rational before ``v.n1``, and solved with the unit cube test,
+    which cannot fail there because every direction of it is unbounded.
+    Returns V t' in original coordinates: V t on the bounded route, which
+    has no riding rows.  The model is returned unchecked.
     """
     tprime = list(t.values)
+    top = h.m - len(ride_bounds)
     fixed = free = []
-    if unbounded is not None and unbounded.m:
-        fixed = [j for j in range(v.n) if any(row[j] for row in h.rows)]
+    if ride_bounds:
+        fixed = [j for j in range(v.n) if any(h.rows[i][j] for i in range(top))]
         free = [j for j in range(v.n) if j not in set(fixed)]
     if free:
         rows = []
         bounds = []
-        for row_uv, b in zip(unbounded.matrix.rows, unbounded.bounds):
+        for row_uv, b in zip(h.rows[top:], ride_bounds):
             rhs = b - sum((row_uv[j] * t.values[j] for j in fixed), _ZERO)
             row = [row_uv[j] for j in free]
             if any(row):
@@ -441,8 +421,8 @@ def mixed_extension(
             elif rhs < 0:
                 raise InternalSoundnessError(
                     "residual system contradicts persistence of unboundedness")
-        variables = [
-            VarInfo(f"u{j}", unbounded.variables[j].kind) for j in free]
+        variables = [VarInfo(f"u{j}", VarKind.RATIONAL if j < v.n1 else VarKind.INTEGER)
+                     for j in free]
         residual = ConstraintSystem(
             Matrix(rows) if rows else Matrix.zeros(0, len(free)),
             bounds, variables)
@@ -576,28 +556,28 @@ def _solve_inner(norm, opts, stats, deadline) -> SolveResult:
         # Search in y = V^-1 x, V from the MEHNF of the equality rows; the
         # whole system rides along the column steps and comes out as A V.
         sp = None
-        top, ride = Matrix([norm.matrix.rows[i] for i in cls.equalities]), norm
+        top, ride = Matrix([norm.matrix.rows[i] for i in cls.equalities]), norm.matrix
     else:
         # Partially unbounded: transform the double-bounded part; the
         # unbounded part rides along and comes out as U V.
         sp = split(norm, cls)
-        top, ride = sp.bounded.matrix, sp.unbounded
+        top, ride = sp.bounded.matrix, sp.unbounded.matrix
     t0 = time.monotonic()
-    h, v, row_perm = batch_mehnf(top, norm.n1, ride.matrix)
+    h, v, row_perm = batch_mehnf(top, norm.n1, ride)
     stats.transform_seconds = time.monotonic() - t0
-    h_top = Matrix(h.rows[:top.m])
-    moved = ConstraintSystem(Matrix(h.rows[top.m:]) if ride.m else Matrix.zeros(0, norm.n),
-                             ride.bounds, _y_variables(norm.n1, norm.n))
     if sp is None:
-        tsys, unbounded = moved, None
+        tsys = ConstraintSystem(Matrix(h.rows[top.m:]), norm.bounds,
+                                _y_variables(norm.n1, norm.n))
+        ride_bounds = ()
     else:
         upper = [sp.bounded.bounds[i] for i in row_perm]
         lower = [sp.lower[i] for i in row_perm]
-        tsys, unbounded = transformed_system(norm, h_top, lower, upper), moved
+        tsys = transformed_system(norm, h.rows[:top.m], lower, upper)
+        ride_bounds = sp.unbounded.bounds
 
     res = branch_and_bound(tsys, opts, stats, deadline)
     if isinstance(res, Sat):
-        return Sat(mixed_extension(v, h_top, res.model, unbounded), stats)
+        return Sat(mixed_extension(v, h, res.model, ride_bounds), stats)
     if isinstance(res, Unsat):
         row_map = _row_map(norm.m, sp, row_perm)
         return Unsat(convert_certificate(row_map, v, res.certificate, norm), stats)
@@ -618,10 +598,11 @@ def _row_map(m: int, sp, row_perm) -> list[dict[int, Fraction]]:
         {origin[k]: w for k, w in enumerate(sp.lower_duals[i]) if w} for i in row_perm]
 
 
-def transformed_system(norm: ConstraintSystem, h: Matrix, lower, upper) -> ConstraintSystem:
-    # Most entries of h are zero, and negating a Fraction costs more than
+def transformed_system(norm: ConstraintSystem, top: list, lower, upper) -> ConstraintSystem:
+    """The rows top, bounded by upper, and their negations, bounded by -lower."""
+    # Most entries of top are zero, and negating a Fraction costs more than
     # testing it.
-    rows = h.rows + [[-c if c else c for c in r] for r in h.rows]
+    rows = top + [[-c if c else c for c in r] for r in top]
     bounds = list(upper) + [-b for b in lower]
     return ConstraintSystem(Matrix(rows), bounds, _y_variables(norm.n1, norm.n))
 

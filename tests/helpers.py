@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from mehsolve.linalg import Matrix
 from mehsolve.mehnf import batch_mehnf
-from mehsolve.model import ConstraintSystem, VarInfo, VarKind
+from mehsolve.model import ConstraintSystem, FarkasCertificate, VarInfo, VarKind
 from mehsolve.simplex import (
     Atom, BoundSource, EmptyStackError, SimplexInternalError, _eliminate, _reduce)
+from mehsolve.solver import RefutationLeaf, _valid_cut
 
 
 def mk_system(rows, bounds, kinds, names=None):
@@ -28,15 +29,12 @@ def mk_system(rows, bounds, kinds, names=None):
 def transform_split(sys, sp):
     """The MEHNF of a split's bounded part, its unbounded part riding along.
 
-    Returns (h, v, perm, residual): h holds the normal form of the bounded
-    part and residual is the system U V y <= b_U that ``mixed_extension``
-    takes, made of the riding rows.
+    Returns ``batch_mehnf``'s (h, v, perm): the first ``sp.bounded.m`` rows
+    of h are the normal form of the bounded part, which
+    ``transformed_system`` takes, and the rows below them are U V, which
+    ``mixed_extension`` reads with ``sp.unbounded.bounds``.
     """
-    h, v, perm = batch_mehnf(sp.bounded.matrix, sys.n1, sp.unbounded.matrix)
-    top = sp.bounded.m
-    moved = Matrix(h.rows[top:]) if sp.unbounded.m else Matrix.zeros(0, sys.n)
-    residual = ConstraintSystem(moved, sp.unbounded.bounds, sys.variables)
-    return Matrix(h.rows[:top]), v, perm, residual
+    return batch_mehnf(sp.bounded.matrix, sys.n1, sp.unbounded.matrix)
 
 
 small_fractions = st.builds(
@@ -618,3 +616,77 @@ def ref_instance_for(sys):
     for i in range(sys.m):
         inst.add_row(sys.matrix.rows[i], sys.bounds[i], "row", i)
     return inst
+
+
+# -- reference refutation checker -------------------------------------------
+
+
+def ref_check_certificate(sys, cert) -> bool:
+    """``model.check_certificate`` as a sum over every row of the system."""
+    y = cert.multiplier_vector(sys.m)
+    if any(v < 0 for v in y):
+        return False
+    combo = [Fraction(0)] * sys.n
+    rhs = Fraction(0)
+    for mult, row, b in zip(y, sys.matrix.rows, sys.bounds):
+        if mult:
+            rhs += mult * b
+            for j, a in enumerate(row):
+                if a:
+                    combo[j] += mult * a
+    return not any(combo) and rhs < 0
+
+
+def ref_check_refutation(sys, refutation) -> bool:
+    """``solver.check_refutation`` that copies the system for each leaf.
+
+    Each leaf is checked as a Farkas certificate over a new system: all
+    rows of sys, then the active sides of the cuts on the leaf's path.
+    """
+    if isinstance(refutation, RefutationLeaf):
+        return not refutation.cut_mults and _ref_check_leaf(sys, refutation, [])
+    work = [("visit", refutation)]
+    path: list[tuple] = []
+    while work:
+        action, payload = work.pop()
+        if action == "leave":
+            path.pop()
+        elif action == "switch":
+            path[-1] = (payload, "high")
+        else:
+            node = payload
+            if isinstance(node, RefutationLeaf):
+                if not _ref_check_leaf(sys, node, path):
+                    return False
+                continue
+            if not _valid_cut(sys, node.cut):
+                return False
+            path.append((node.cut, "low"))
+            work.append(("leave", None))
+            work.append(("visit", node.high))
+            work.append(("switch", node.cut))
+            work.append(("visit", node.low))
+    return True
+
+
+def _ref_check_leaf(sys, leaf, path) -> bool:
+    if any(d not in range(len(path)) for d in leaf.cut_mults):
+        return False
+    rows = [list(r) for r in sys.matrix.rows]
+    bounds = list(sys.bounds)
+    for cut, side in path:
+        if side == "low":
+            rows.append(list(cut.coeffs))
+            bounds.append(Fraction(cut.value))
+        else:
+            rows.append([-c for c in cut.coeffs])
+            bounds.append(Fraction(-(cut.value + 1)))
+    extended = ConstraintSystem(Matrix(rows), bounds, sys.variables, sys.user_perm)
+    y = [Fraction(0)] * extended.m
+    for i, mult in leaf.row_mults.items():
+        if not 0 <= i < sys.m:
+            return False
+        y[i] += mult
+    for d, mult in leaf.cut_mults.items():
+        y[sys.m + d] += mult
+    return ref_check_certificate(extended, FarkasCertificate(y))

@@ -177,15 +177,15 @@ def test_criterion_07_reduction_equisatisfiability():
         cls = classify(sys)
         assert cls.verdict is Verdict.PARTIALLY_UNBOUNDED
         sp = split(sys, cls)
-        h, v, perm, residual = transform_split(sys, sp)
+        h, v, perm = transform_split(sys, sp)
         lower = [sp.lower[i] for i in perm]
         upper = [sp.bounded.bounds[i] for i in perm]
-        tsys = transformed_system(sys, h, lower, upper)
+        tsys = transformed_system(sys, h.rows[:sp.bounded.m], lower, upper)
         res = branch_and_bound(tsys)
         if not isinstance(res, Sat):
             failures += 1
             continue
-        full = mixed_extension(v, h, res.model, residual)
+        full = mixed_extension(v, h, res.model, sp.unbounded.bounds)
         if not check_model(sys, full):
             failures += 1
     _report(7, failures == 0,

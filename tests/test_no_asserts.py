@@ -1,12 +1,14 @@
 """Soundness does not depend on ``assert``: solving under ``python -O``.
 
 Every Sat or Unsat result is re-checked by ``check_model``,
-``check_certificate`` or ``check_refutation`` in every build mode.  This
+``check_certificate`` or ``check_refutation`` in every build mode.  One
 test solves a fixed corpus in a ``python -O`` subprocess, where every
 ``assert`` and ``__debug__`` block is stripped, re-verifies each result
-there, and requires the same verdicts as the assert-enabled run.
+there, and requires the same verdicts as the assert-enabled run.  Another
+scans the package source: it holds no ``assert`` statement at all.
 """
 
+import ast
 import json
 import os
 import random
@@ -74,3 +76,12 @@ def test_verdicts_hold_without_asserts():
     assert {c for c, _ in expected} == {
         "bounded", "absolutely-unbounded", "partially-unbounded"}
     assert {v for _, v in expected} == {"sat", "unsat"}
+
+
+def test_no_assert_statement_in_the_package():
+    src = TESTS.parent / "src" / "mehsolve"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found

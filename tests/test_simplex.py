@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import mehsolve.simplex as simplex
 from mehsolve.analysis import classify, split
 from mehsolve.generators import GenParams, gen_random_unbounded
-from mehsolve.linalg import Matrix
+from mehsolve.linalg import Matrix, int_row
 from mehsolve.model import FarkasCertificate, check_certificate
 from mehsolve.solver import SolveStats, Unsat, branch_and_bound
 from mehsolve.simplex import (
@@ -166,7 +166,7 @@ class TestOptimizeEach:
         # Re-optimizing from the previous basis reaches the same outcome
         # and optimum as a fresh tableau per objective.
         objectives = [h[: sys.n] for h in objectives if any(h[: sys.n])]
-        shared = optimize_each(sys, objectives, sense)
+        shared = optimize_each(sys, [int_row(h) for h in objectives], sense)
         assert len(shared) == len(objectives)
         for h, res in zip(objectives, shared):
             alone = optimize(sys, h, sense)
@@ -180,7 +180,7 @@ class TestOptimizeEach:
         real = simplex.instance_for
         monkeypatch.setattr(simplex, "instance_for", lambda s: built.append(s) or real(s))
         sys = mk_system([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0], "qq")
-        res = optimize_each(sys, sys.matrix.rows, "min")
+        res = optimize_each(sys, sys.int_rows, "min")
         assert [r.value for r in res] == [0, -1, 0, -1]
         assert len(built) == 1
 

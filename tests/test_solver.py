@@ -1,5 +1,7 @@
 import math
 import random
+import sys as _pysys
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,11 +35,12 @@ from mehsolve.solver import (
     mixed_extension,
     propagate_bounds,
     solve,
+    transformed_system,
     unit_cube_test,
 )
 
 import corpus
-from helpers import mk_system, systems, transform_split
+from helpers import mk_system, ref_check_refutation, systems, transform_split
 
 
 def band(kinds="zz", extra_rows=(), extra_bounds=()):
@@ -227,29 +230,254 @@ class TestCheckRefutation:
         assert check_refutation(sys, good)
 
 
+def boxed_band(k, lo, hi, n):
+    """lo <= k x - k y <= hi inside the box [0, n]^2."""
+    return mk_system([[k, -k], [-k, k], [1, 0], [-1, 0], [0, 1], [0, -1]],
+                     [hi, -lo, n, 0, n, 0], "zz")
+
+
+def mixed_boxed_band(k, lo, hi, n):
+    """lo <= q + k x - k y <= hi with rational q in [0, 1/2] and x, y in [0, n]."""
+    return mk_system([[1, k, -k], [-1, -k, k], [1, 0, 0], [-1, 0, 0],
+                      [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                     [hi, -lo, Fraction(1, 2), 0, n, 0, n, 0], "qzz")
+
+
+def _walk(tree):
+    """(node, depth) for every node of a refutation tree, without recursion."""
+    out, work = [], [(tree, 0)]
+    while work:
+        node, depth = work.pop()
+        out.append((node, depth))
+        if isinstance(node, RefutationNode):
+            work += [(node.high, depth + 1), (node.low, depth + 1)]
+    return out
+
+
+def _copy(tree):
+    return solver._map_tree(
+        tree, lambda leaf: RefutationLeaf(dict(leaf.row_mults), dict(leaf.cut_mults)),
+        lambda cut: cut)
+
+
+def _refuted_instances():
+    """(system, refutation tree) pairs from branch-and-bound and solve."""
+    out = []
+    for k, lo, hi, n in [(3, 1, 2, 4), (4, 1, 3, 6), (5, 2, 4, 3), (3, 1, 2, 9),
+                         (2, 1, 1, 5), (6, 7, 11, 4), (7, 1, 6, 2), (4, 5, 7, 7)]:
+        for build in (boxed_band, mixed_boxed_band):
+            sys = build(k, lo, hi, n)
+            res = branch_and_bound(sys)
+            assert isinstance(res, Unsat) and isinstance(res.certificate, RefutationNode)
+            out.append((sys, res.certificate))
+    rng = random.Random(20240722)
+    while len(out) < 40:
+        sys = corpus.band_unsat_instance(rng, max_n=4)
+        res = solve(sys)
+        if isinstance(res, Unsat) and isinstance(res.certificate, RefutationNode):
+            out.append((sys, res.certificate))
+    return out
+
+
+def _opposite_rows(sys):
+    """Rows i, k with a_i = -a_k and b_i + b_k >= 0: y A keeps its value when
+    both multipliers move by the same amount."""
+    for i, row in enumerate(sys.matrix.rows):
+        for k in range(i + 1, sys.m):
+            if (sys.matrix.rows[k] == [-a for a in row]
+                    and sys.bounds[i] + sys.bounds[k] >= 0):
+                return i, k
+    raise ValueError("no pair of opposite rows")
+
+
+def _corruptions(sys, tree, rng):
+    """Copies of a valid tree, each with one planted fault.
+
+    Each fault leaves the rest of the tree as it was, and where it can, it
+    keeps y A = 0 and y b < 0, so only the check made for that fault can
+    catch it.
+    """
+    nodes = _walk(tree)
+    leaves = [(leaf, d) for leaf, d in nodes if isinstance(leaf, RefutationLeaf)]
+    inner = [(node, d) for node, d in nodes if isinstance(node, RefutationNode)]
+
+    def pick(kind, index):
+        """A fresh copy of the tree and its index-th node of the given kind."""
+        copy = _copy(tree)
+        return copy, [x for x, _ in _walk(copy) if isinstance(x, kind)][index]
+
+    out = []
+    # Row i written as its negative alias i - m, or an extra row m.
+    i = rng.choice([j for j, (leaf, _) in enumerate(leaves) if leaf.row_mults])
+    bad, leaf = pick(RefutationLeaf, i)
+    key = rng.choice(list(leaf.row_mults))
+    leaf.row_mults[key - sys.m] = leaf.row_mults.pop(key)
+    out.append(("row index out of range", bad))
+    bad, leaf = pick(RefutationLeaf, i)
+    leaf.row_mults[sys.m] = Fraction(1)
+    out.append(("row index out of range", bad))
+
+    # Both rows of an opposite pair lowered by t: one multiplier turns
+    # negative, y A stays 0 and y b does not grow.
+    r, k = _opposite_rows(sys)
+    bad, leaf = pick(RefutationLeaf, rng.randrange(len(leaves)))
+    t = max(leaf.row_mults.get(r, 0), leaf.row_mults.get(k, 0)) + 1
+    for q in (r, k):
+        leaf.row_mults[q] = leaf.row_mults.get(q, Fraction(0)) - t
+    out.append(("negative multiplier", bad))
+
+    # The same pair raised until y b = 0.
+    j = rng.randrange(len(leaves))
+    bad, leaf = pick(RefutationLeaf, j)
+    width = sys.bounds[r] + sys.bounds[k]
+    if width > 0:
+        yb = sum(y * sys.bounds[q] for q, y in leaves[j][0].row_mults.items())
+        yb += sum(y * _side(tree, leaves[j][0], d) for d, y in leaves[j][0].cut_mults.items())
+        for q in (r, k):
+            leaf.row_mults[q] = leaf.row_mults.get(q, Fraction(0)) - yb / width
+        out.append(("y b = 0", bad))
+
+    # A cut multiplier on the leaf's own depth, or on depth d written as
+    # its negative alias d - depth.
+    i = rng.randrange(len(leaves))
+    bad, leaf = pick(RefutationLeaf, i)
+    depth = leaves[i][1]
+    if leaf.cut_mults and rng.random() < 0.5:
+        key = rng.choice(list(leaf.cut_mults))
+        leaf.cut_mults[key - depth] = leaf.cut_mults.pop(key)
+    else:
+        leaf.cut_mults[depth] = Fraction(1)
+    out.append(("cut multiplier off the path", bad))
+
+    # Swapping is a fault when a leaf below the low side uses that side.
+    swappable = [j for j, (node, d) in enumerate(inner)
+                 if any(x.cut_mults.get(d) for x, _ in _walk(node.low)
+                        if isinstance(x, RefutationLeaf))]
+    if swappable:
+        bad, node = pick(RefutationNode, rng.choice(swappable))
+        node.low, node.high = node.high, node.low
+        out.append(("swapped subtrees", bad))
+
+    nonzero = [(j, q) for j, (leaf, _) in enumerate(leaves)
+               for q, y in leaf.row_mults.items() if y and any(sys.matrix.rows[q])]
+    j, q = rng.choice(nonzero)
+    bad, leaf = pick(RefutationLeaf, j)
+    leaf.row_mults[q] *= 2
+    out.append(("y A != 0", bad))
+
+    # A new root cut that no leaf uses, with a non-zero rational
+    # coefficient or a fractional integer one, over two copies of the tree.
+    coeffs = [Fraction(0)] * sys.n
+    if sys.n1 and rng.random() < 0.5:
+        coeffs[rng.randrange(sys.n1)] = Fraction(1)
+    else:
+        coeffs[rng.randrange(sys.n1, sys.n)] = Fraction(1, 2)
+    deeper = [solver._map_tree(
+        tree, lambda leaf: RefutationLeaf(
+            dict(leaf.row_mults), {d + 1: y for d, y in leaf.cut_mults.items()}),
+        lambda cut: cut) for _ in range(2)]
+    out.append(("rational-column or fractional cut",
+                RefutationNode(Cut(tuple(coeffs), 0), *deeper)))
+    return out
+
+
+def _side(tree, target, depth):
+    """The bound of the active side of the cut at depth on target's path."""
+    work = [(tree, [])]
+    while work:
+        node, path = work.pop()
+        if node is target:
+            return path[depth]
+        if isinstance(node, RefutationNode):
+            work.append((node.low, path + [Fraction(node.cut.value)]))
+            work.append((node.high, path + [Fraction(-(node.cut.value + 1))]))
+    raise ValueError("leaf not in tree")
+
+
+def _perturbed(tree, rng):
+    """A copy with one multiplier replaced at random: valid or not."""
+    copy = _copy(tree)
+    leaf = rng.choice([x for x, _ in _walk(copy) if isinstance(x, RefutationLeaf)])
+    mults = rng.choice([leaf.row_mults, leaf.cut_mults])
+    key = rng.choice(list(mults) or [0])
+    mults[key] = Fraction(rng.randint(-2, 3), rng.randint(1, 3))
+    return copy
+
+
+class TestCheckRefutationAgainstReference:
+    """``check_refutation`` decides as the per-leaf system copy it replaced."""
+
+    def test_real_and_corrupted_trees(self):
+        rng = random.Random(20240723)
+        instances = _refuted_instances()
+        assert any(sys.n1 for sys, _ in instances)
+        assert max(d for _, tree in instances for _, d in _walk(tree)) >= 3
+        planted = set()
+        for sys, tree in instances:
+            assert check_refutation(sys, tree) and ref_check_refutation(sys, tree)
+            for fault, bad in _corruptions(sys, tree, rng):
+                planted.add(fault)
+                assert not ref_check_refutation(sys, bad), fault
+                assert not check_refutation(sys, bad), fault
+            for _ in range(4):
+                other = _perturbed(tree, rng)
+                assert check_refutation(sys, other) == ref_check_refutation(sys, other)
+        assert len(planted) == 7
+
+    def test_single_leaf(self):
+        sys = mk_system([[1], [-1]], [0, -1], "z")
+        good = RefutationLeaf({0: Fraction(1), 1: Fraction(1)}, {})
+        for leaf in (good, RefutationLeaf(dict(good.row_mults), {0: Fraction(1)})):
+            assert check_refutation(sys, leaf) == ref_check_refutation(sys, leaf)
+        assert check_refutation(sys, good)
+
+    def test_deep_boxed_band(self):
+        # The depth-first tree of the band at N = 1,000 has 4,001 nodes and
+        # a path 2,000 cuts deep.  Its check reads each leaf's support only,
+        # so it stays linear in the tree, and it walks the tree with a
+        # stack: it passes under a recursion limit far below the depth.
+        sys = boxed_band(3, 1, 2, 1000)
+        started = time.monotonic()
+        res = solve(sys)
+        elapsed = time.monotonic() - started
+        assert isinstance(res, Unsat) and res.stats.nodes == 4001
+        assert elapsed < 2.0
+        assert max(d for _, d in _walk(res.certificate)) == 2000
+        frame, frames = _pysys._getframe(), 0
+        while frame is not None:
+            frame, frames = frame.f_back, frames + 1
+        limit = _pysys.getrecursionlimit()
+        _pysys.setrecursionlimit(frames + 50)
+        try:
+            assert check_refutation(sys, res.certificate)
+        finally:
+            _pysys.setrecursionlimit(limit)
+
+
 class TestMixedExtension:
     def test_band_with_free_row_rational(self):
         sys = band("qq", [[1, 1]], [10])
         cls = classify(sys)
         sp = split(sys, cls)
-        h, v, perm, residual = transform_split(sys, sp)
+        h, v, perm = transform_split(sys, sp)
         upper = [sp.bounded.bounds[i] for i in perm]
         lower = [sp.lower[i] for i in perm]
-        tsys = _tsystem(sys, h, lower, upper)
+        tsys = transformed_system(sys, h.rows[:sp.bounded.m], lower, upper)
         res = branch_and_bound(tsys)
         assert isinstance(res, Sat)
-        full_model = mixed_extension(v, h, res.model, residual)
+        full_model = mixed_extension(v, h, res.model, sp.unbounded.bounds)
         assert check_model(sys, full_model)
 
     def test_empty_unbounded_part_passes_through(self):
         sys = band("qq")
         cls = classify(sys)
         sp = split(sys, cls)
-        h, v, perm, residual = transform_split(sys, sp)
+        h, v, perm = transform_split(sys, sp)
         t = Model([Fraction(1, 2), Fraction(0)])
-        if check_model(_tsystem(sys, h, [sp.lower[i] for i in perm],
-                                [sp.bounded.bounds[i] for i in perm]), t):
-            out = mixed_extension(v, h, t, residual)
+        if check_model(transformed_system(sys, h.rows[:sp.bounded.m],
+                                          [sp.lower[i] for i in perm],
+                                          [sp.bounded.bounds[i] for i in perm]), t):
+            out = mixed_extension(v, h, t, sp.unbounded.bounds)
             assert out.values == v.apply(t.values)
 
     def test_integer_gap_columns(self):
@@ -260,12 +488,6 @@ class TestMixedExtension:
         res2 = solve(rat)
         assert isinstance(res2, Sat)
         assert check_model(rat, res2.model)
-
-
-def _tsystem(sys, h, lower, upper):
-    from mehsolve.solver import transformed_system
-
-    return transformed_system(sys, h, lower, upper)
 
 
 class TestSolve:
@@ -505,7 +727,7 @@ class TestSolve:
 
     def test_wrong_extended_model_is_caught(self, monkeypatch):
         monkeypatch.setattr(solver, "mixed_extension",
-                            lambda v, h, t, unbounded=None: Model([Fraction(0), Fraction(0)]))
+                            lambda v, h, t, ride_bounds=(): Model([Fraction(0), Fraction(0)]))
         with pytest.raises(solver.InternalSoundnessError):
             solve(band("qz", [[1, 1]], [10]))
 

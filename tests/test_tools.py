@@ -15,10 +15,10 @@ from mehsolve.bench import bench_directory, format_report
 from mehsolve.bruteforce import BoxTooLargeError, brute_force_solve
 from mehsolve.cli import main
 from mehsolve.generators import GenParams, gen_random_unbounded
-from mehsolve.model import Budget, Sat, check_model
+from mehsolve.model import Budget, FarkasCertificate, Sat, check_model
 from mehsolve.simplex import SimplexInstance
 from mehsolve.smtlib import parse
-from mehsolve.solver import SolveOptions, VarBounds, solve
+from mehsolve.solver import Cut, RefutationLeaf, RefutationNode, SolveOptions, VarBounds, solve
 
 from helpers import (
     mk_system, nested_sum, ref_column_reduce, ref_hermite_normal_form, ref_instance_for,
@@ -308,6 +308,35 @@ def test_identity_dump_prints_one_line_per_instance():
         assert (workload, seed, classification) == ("bounded_planted", "3", "bounded")
         assert name.rsplit("_", 1)[1] == verdict and int(nodes) >= 1 and len(digest) == 64
         assert int(pivots) >= 0
+
+
+def test_identity_dump_prints_deep_refutations_as_repr_does():
+    # The dataclass repr recurses once per tree level; the dump's printer
+    # gives the same text with a stack, also past the recursion limit.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "identity_dump.py"
+    spec = importlib.util.spec_from_file_location("_identity_dump", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    res = solve(parse(BAND.replace("(check-sat)", "(assert (<= 0 x))(assert (<= x 5))"
+                                   "(assert (<= 0 y))(assert (<= y 5))(check-sat)")))
+    assert isinstance(res.certificate, RefutationNode)
+    sat = solve(mk_system([[1, 1]], [3], "qz"))
+
+    def chain(depth):
+        node = RefutationLeaf({0: Fraction(1, 3)}, {})
+        for d in range(depth):
+            node = RefutationNode(Cut((Fraction(1), Fraction(-1)), d), node,
+                                  RefutationLeaf({1: Fraction(1)}, {d: Fraction(2)}))
+        return node
+
+    for witness in (res.certificate, sat.model, FarkasCertificate([Fraction(1), 0]), chain(40)):
+        assert dump.witness_text(witness) == repr(witness)
+    deep = chain(2000)
+    with pytest.raises(RecursionError):
+        repr(deep)
+    text = dump.witness_text(deep)
+    assert text.count("RefutationNode(") == 2000 and text.count("RefutationLeaf(") == 2001
+    assert text.count("(") == text.count(")")
 
 
 def test_kernels_match_the_reference_on_benchmark_traffic(monkeypatch):
