@@ -20,7 +20,6 @@ that lean on the implied lower bounds).
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +29,8 @@ from . import simplex
 from .linalg import column_reduce, int_row
 from .model import ConstraintSystem, is_farkas
 from .simplex import (
-    Infeasible, Optimal, SimplexInstance, UnboundedDirection, _certified,
-    atoms_to_certificate, check_feasible, optimize, optimize_each)
+    Infeasible, Optimal, SimplexInstance, SimplexInternalError, UnboundedDirection,
+    _certified, atoms_to_certificate, check_feasible, optimize, optimize_each)
 
 
 class InfeasibleSystemError(ValueError):
@@ -54,7 +53,8 @@ class Classification:
 
     ``equalities`` lists, for a BOUNDED system only, one row of each
     explicit equality: a row whose exact opposite, bound included, is a
-    later row (the parser writes ``=`` as such a pair).
+    later row of the same form (``ConstraintSystem.forms``) with the
+    opposite scale (the parser writes ``=`` as such a pair).
     """
 
     verdict: Verdict
@@ -82,21 +82,6 @@ class SplitSystem:
     unbounded_origin: tuple[int, ...]
 
 
-def _recession_cone(sys: ConstraintSystem) -> ConstraintSystem:
-    return ConstraintSystem(sys.matrix, [Fraction(0)] * sys.m, sys.variables, sys.user_perm)
-
-
-def _direction_bounded_in_cone(cone: ConstraintSystem, h: Sequence[Fraction]) -> bool:
-    for sense in ("max", "min"):
-        res = optimize(cone, h, sense)
-        if isinstance(res, UnboundedDirection):
-            return False
-        if not (isinstance(res, Optimal) and res.value == 0):
-            raise AssertionError(
-                "recession cone probe is neither unbounded nor zero; simplex bug")
-    return True
-
-
 def is_direction_bounded(sys: ConstraintSystem, h: Sequence[Fraction]) -> bool:
     """Whether both h . x and -h . x are bounded over the system.
 
@@ -108,24 +93,32 @@ def is_direction_bounded(sys: ConstraintSystem, h: Sequence[Fraction]) -> bool:
     feas = check_feasible(sys)
     if isinstance(feas, Infeasible):
         raise InfeasibleSystemError(feas.certificate)
-    return _direction_bounded_in_cone(_recession_cone(sys), h)
+    cone = ConstraintSystem(sys.matrix, [0] * sys.m, sys.variables, sys.user_perm)
+    for sense in ("max", "min"):
+        res = optimize(cone, h, sense)
+        if isinstance(res, UnboundedDirection):
+            return False
+        if not (isinstance(res, Optimal) and res.value == 0):
+            raise SimplexInternalError(
+                "recession cone probe is neither unbounded nor zero; simplex bug")
+    return True
 
 
 def classify(sys: ConstraintSystem) -> Classification:
     """Determine which rows and variables are bounded, and the verdict.
 
     One tableau of sys serves the whole classification.  Its first check
-    decides rational feasibility.  A system in which a single-variable row
-    bounds every variable from above and another one from below is boxed:
-    its recession cone is {0}, so every row and every variable is bounded,
-    and nothing more is checked.  Otherwise the same tableau, from the
-    basis the feasibility check left, finds the implicit equalities of the
-    cone A x <= 0 (see ``_cone_equalities``).  A variable is bounded
-    exactly when its coordinate vanishes on the null space of those rows,
-    which one ``column_reduce`` yields.  The LP probe
-    ``is_direction_bounded`` decides one direction at a time instead.  A
-    BOUNDED verdict also reports the explicit equalities, which ``solve``
-    sends through the MEHNF.
+    decides rational feasibility.  A system in which every column's unit
+    form has rows of both signs is boxed: its recession cone is {0}, so
+    every row and every variable is bounded, and nothing more is checked.
+    Otherwise the same tableau, from the basis the feasibility check left,
+    finds the implicit equalities of the cone A x <= 0 (see
+    ``_cone_equalities``).  A variable is bounded exactly when its
+    coordinate vanishes on the null space of those rows, which one
+    ``column_reduce`` yields.  The LP probe ``is_direction_bounded``
+    decides one direction at a time instead.  A BOUNDED verdict also
+    reports the explicit equalities, which ``solve`` sends through the
+    MEHNF.  The box test and the equalities read ``sys.forms``.
     """
     # Through the module attribute, so that wrappers of it see this tableau.
     inst = simplex.instance_for(sys)
@@ -146,43 +139,35 @@ def classify(sys: ConstraintSystem) -> Classification:
     return Classification(verdict, frozenset(bounded_rows), bounded_vars)
 
 
+def _form_signs(sys: ConstraintSystem) -> dict:
+    """For each form of sys, 1 | 2 over its rows: 1 for p > 0, 2 for p < 0."""
+    signs: dict = {}
+    for form, p, _ in sys.forms:
+        signs[form] = signs.get(form, 0) | (1 if p > 0 else 2)
+    return signs
+
+
 def _is_boxed(sys: ConstraintSystem) -> bool:
-    """Whether single-variable rows bound every variable from both sides."""
-    above, below = set(), set()
-    for row in sys.matrix.rows:
-        support = [j for j, a in enumerate(row) if a]
-        if len(support) == 1:
-            j = support[0]
-            (above if row[j] > 0 else below).add(j)
-    return len(above) == len(below) == sys.n
+    """Whether every column's unit form has rows of both signs."""
+    signs = _form_signs(sys)
+    return all(signs.get(tuple([int(k == j) for k in range(sys.n)])) == 3
+               for j in range(sys.n))
 
 
 def _equality_rows(sys: ConstraintSystem) -> tuple[int, ...]:
-    """Each row i that some later row k pairs with: a_k = -a_i, b_k = -b_i.
-
-    A row takes part in at most one pair.
-    """
+    """Each row i that a later row k pairs with: a_k = -a_i, b_k = -b_i,
+    that is the same form with p_k = -p_i and q_k = q_i.  Each row k pairs
+    with the first earlier row left open, so a row is in at most one pair."""
     # Keyed by the bound's integer terms: hashing a Fraction is slower.
-    keys = [(b.numerator, b.denominator) for b in sys.bounds]
-    by_bound: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        by_bound.setdefault(key, []).append(i)
-    # int_row is canonical, so a_k = -a_i exactly when the denominators are
-    # equal and the integers opposite.
-    rows = sys.int_rows
-    paired: set[int] = set()
+    open_rows: dict[tuple, list[int]] = {}
     out = []
-    for i, (p, q) in enumerate(keys):
-        if i in paired:
-            continue
-        ints, den = rows[i]
-        for k in by_bound.get((-p, q), ()):
-            if (k > i and k not in paired and rows[k][1] == den
-                    and all(x == -y for x, y in zip(rows[k][0], ints))):
-                paired.add(k)
-                out.append(i)
-                break
-    return tuple(out)
+    for k, ((form, p, q), b) in enumerate(zip(sys.forms, sys.bounds)):
+        partners = open_rows.get((form, -p, q, -b.numerator, b.denominator))
+        if partners:
+            out.append(partners.pop(0))
+        else:
+            open_rows.setdefault((form, p, q, b.numerator, b.denominator), []).append(k)
+    return tuple(sorted(out))
 
 
 def _cone_equalities(sys: ConstraintSystem, inst: SimplexInstance) -> list[int]:
@@ -193,9 +178,9 @@ def _cone_equalities(sys: ConstraintSystem, inst: SimplexInstance) -> list[int]:
     row they touch is an equality of the cone: it joins the known ones and
     the tableau is checked again from its current basis.  A feasible point
     is strict on every row not known, so none of them is an equality.  The
-    known rows start as the zero rows and the rows whose normal is a
-    negative multiple of another row's.  Both outcomes are checked against
-    sys, in every build mode.
+    known rows start as the zero rows and the rows of each form that has
+    rows of both signs.  Both outcomes are checked against sys, in every
+    build mode.
     """
     known = _opposite_normals(sys)
     while True:
@@ -207,29 +192,20 @@ def _cone_equalities(sys: ConstraintSystem, inst: SimplexInstance) -> list[int]:
         cert = atoms_to_certificate(conflict, sys.m)
         # y b < 0 for these bounds: y >= 0, y A = 0, and some new row in y.
         if not is_farkas(zip(cert.y, sys.matrix.rows, cone), sys.n):
-            raise AssertionError("recession cone conflict is not a certificate; simplex bug")
+            raise SimplexInternalError("recession cone conflict is not a certificate; simplex bug")
         known.update(i for i, y in enumerate(cert.y) if y)
     # Row i at the point is (ints . point) / (den * scale).
     point, scale = int_row(inst.assignment())
     if any(sum(map(operator.mul, ints, point)) > b * den * scale
            for (ints, den), b in zip(sys.int_rows, cone)):
-        raise AssertionError("recession cone point violates a row; simplex bug")
+        raise SimplexInternalError("recession cone point violates a row; simplex bug")
     return sorted(known)
 
 
 def _opposite_normals(sys: ConstraintSystem) -> set[int]:
-    """The zero rows and each row whose normal is a negative multiple of another's."""
-    # Keyed by each row's primitive integer normal: hashing Fractions is
-    # slower, and their tuples take more memory.
-    keys = []
-    for ints, _ in sys.int_rows:
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [p // g for p in ints]
-        keys.append(tuple(ints) if g else None)
-    present = set(keys)
-    return {i for i, key in enumerate(keys)
-            if key is None or tuple([-p for p in key]) in present}
+    """The zero rows and the rows of each form that has rows of both signs."""
+    signs = _form_signs(sys)
+    return {i for i, (form, _, _) in enumerate(sys.forms) if form is None or signs[form] == 3}
 
 
 def split(sys: ConstraintSystem, cls: Classification) -> SplitSystem:
@@ -247,7 +223,7 @@ def split(sys: ConstraintSystem, cls: Classification) -> SplitSystem:
     unbounded = sys.subset(unbounded_idx)
     results = optimize_each(bounded, bounded.int_rows, "min")
     if not all(isinstance(res, Optimal) for res in results):
-        raise AssertionError(
+        raise SimplexInternalError(
             "bounded part is not self-contained; upstream classification bug")
     return SplitSystem(
         unbounded, bounded, [res.value for res in results], [res.dual for res in results],

@@ -38,9 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-Rat = Fraction
+from typing import Iterable, Optional, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -313,6 +311,19 @@ def int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
+def int_form(ints: Sequence[int], den: int) -> tuple[Optional[tuple[int, ...]], int, int]:
+    """(form, p, q) with ints / den == (p / q) * form, where the form is the
+    row's primitive integer normal with a positive first non-zero entry, so
+    rows share a form exactly when their normals are parallel.  For
+    ``int_row``'s output p / q is in lowest terms.  A zero row: (None, 0, 1)."""
+    g = math.gcd(*ints)
+    if not g:
+        return None, 0, 1
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(ints) if g == 1 else tuple([c // g for c in ints]), g, den
+
+
 def _int_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     pairs = [int_row(row) for row in rows]
     return [ints for ints, _ in pairs], [den for _, den in pairs]
@@ -516,9 +527,5 @@ def format_matrix(m: Matrix) -> str:
     """Serialize: first line ``m n``, then one line of rationals per row."""
     lines = [f"{m.m} {m.n}"]
     for row in m.rows:
-        lines.append(" ".join(_format_rat(x) for x in row))
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
-
-
-def _format_rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

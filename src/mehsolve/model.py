@@ -16,10 +16,12 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import Matrix, frac, int_row
+from .linalg import Matrix, frac, int_form, int_row
 
 
 _ZERO = Fraction(0)
+# The number types the checks accept: a float would make their sums inexact.
+EXACT = (int, Fraction)
 
 
 class DimensionMismatchError(ValueError):
@@ -47,7 +49,7 @@ class ConstraintSystem:
     carries no row provenance: code that derives one system from another
     keeps the row indices it needs to map results back (see ``normalize``
     and ``split``).  A system's matrix is not changed after construction,
-    so what is derived from it, such as ``int_rows``, is computed once.
+    so what is derived from it (``int_rows``, ``forms``) is computed once.
     """
 
     def __init__(
@@ -101,13 +103,19 @@ class ConstraintSystem:
         """Each row as ``linalg.int_row`` gives it: integers over one denominator."""
         return [int_row(row) for row in self.matrix.rows]
 
+    @cached_property
+    def forms(self) -> list[tuple[Optional[tuple[int, ...]], int, int]]:
+        """Each row as ``linalg.int_form`` gives it: (form, p, q), row = (p / q) * form.
+        The simplex gives each form one variable; ``classify`` reads it too."""
+        return [int_form(ints, den) for ints, den in self.int_rows]
+
     def subset(self, rows: Sequence[int]) -> "ConstraintSystem":
         """System of the given rows, in the given order, over the same variables.
 
         Built without the constructor's checks, which self has passed: the
         rows are copied as they are, and the variables, their order and
-        ``user_perm`` are self's.  The integer rows come along when self
-        has computed them.
+        ``user_perm`` are self's.  The integer rows and the forms come
+        along when self has computed them.
         """
         sub = ConstraintSystem.__new__(ConstraintSystem)
         sub.matrix = Matrix.__new__(Matrix)
@@ -115,8 +123,9 @@ class ConstraintSystem:
         sub.matrix.m, sub.matrix.n = len(rows), self.n
         sub.bounds = [self.bounds[i] for i in rows]
         sub.variables, sub.n1, sub.user_perm = self.variables, self.n1, self.user_perm
-        if "int_rows" in self.__dict__:
-            sub.int_rows = [self.int_rows[i] for i in rows]
+        for name in ("int_rows", "forms"):
+            if name in self.__dict__:
+                setattr(sub, name, [self.__dict__[name][i] for i in rows])
         return sub
 
     def __repr__(self) -> str:
@@ -216,6 +225,8 @@ def check_model(sys: ConstraintSystem, model: Model) -> bool:
     if len(model.values) != sys.n:
         raise DimensionMismatchError(
             f"model has {len(model.values)} values for {sys.n} variables")
+    if not all(isinstance(v, EXACT) for v in model.values):
+        return False
     for j in sys.integer_columns():
         if model.values[j].denominator != 1:
             return False
@@ -225,11 +236,11 @@ def check_model(sys: ConstraintSystem, model: Model) -> bool:
 
 def farkas_sum(terms: Iterable[tuple], n: int) -> Optional[tuple[list[Fraction], Fraction]]:
     """(sum of y a, sum of y b) over the (y, a, b) terms, each a of length n;
-    None when some multiplier y is negative."""
+    None when some multiplier y is negative or not ``EXACT``."""
     combo = [_ZERO] * n
     rhs = _ZERO
     for mult, row, b in terms:
-        if mult < 0:
+        if not isinstance(mult, EXACT) or mult < 0:
             return None
         if mult:
             rhs += mult * b
@@ -257,8 +268,7 @@ def format_model(sys: ConstraintSystem, model: Model) -> str:
     for col in sys.user_perm:
         var = sys.variables[col]
         val = model.values[col]
-        txt = str(val.numerator) if val.denominator == 1 else f"{val.numerator}/{val.denominator}"
-        lines.append(f"{var.name} = {txt}")
+        lines.append(f"{var.name} = {val}")
     return "\n".join(lines) + "\n"
 
 
@@ -268,6 +278,5 @@ def format_certificate(sys: ConstraintSystem, cert: FarkasCertificate) -> str:
     lines = []
     for i, mult in enumerate(y):
         if mult:
-            txt = str(mult.numerator) if mult.denominator == 1 else f"{mult.numerator}/{mult.denominator}"
-            lines.append(f"{i} {txt}")
+            lines.append(f"{i} {mult}")
     return "\n".join(lines) + "\n"

@@ -1,22 +1,22 @@
 """Exact rational simplex over a fixed system, with a bound stack and certificates.
 
-The engine follows the bounds-separated design common to SMT theory
-solvers: every row, added once, either tightens a native bound on a
-variable (single-variable rows) or introduces a slack variable whose
-defining equation joins the tableau and whose upper bound carries the
-row's constant.  The rows stay; only bounds (branch-and-bound's branch
-bounds) are pushed and popped.  The instance remembers which variable
-carries each row, so the constants of all rows can also be replaced at
-once, keeping the basis (``classify`` moves from A x <= b to its
-recession cone that way).  Feasibility repair pivots with Bland's rule,
-so every call terminates; all arithmetic is exact.
+The engine follows the bounds-separated design of SMT theory solvers
+(Dutertre and de Moura, CAV 2006) with one variable per linear form (a
+system's ``forms``, see ``linalg.int_form``): its column for a unit form,
+else a slack whose defining equation ``form . x`` joins the tableau.
+Every row, added once, bounds its form's variable, so the two rows of an
+equality bound one slack.  The rows stay; only bounds (branch-and-bound's
+branch bounds) are pushed and popped.  The instance remembers which variable carries
+each row, so the constants of all rows can also be replaced at once,
+keeping the basis (``classify`` moves from A x <= b to its recession cone
+that way).  Feasibility repair pivots with Bland's rule, so every call
+terminates; all arithmetic is exact.
 
 The tableau is fraction-free (integer-preserving elimination): each row is
 a dict of integer coefficients over one positive integer denominator,
 reduced to gcd 1 after every pivot, and ``optimize_max`` keeps its
-reduced-cost row in the same form through its pivots.  Rows enter as
-integers (a system's ``int_rows``, converted once per system).  Bounds and
-the assignment are integer pairs (num, den) in lowest terms, compared by
+reduced-cost row that way through its pivots.  Bounds and the
+assignment are integer pairs (num, den) in lowest terms, compared by
 cross-multiplication, and the ratio test compares its steps the same way,
 so feasibility repair and optimization make no ``Fraction``.  Every value
 handed out (assignments, conflict and dual multipliers, optimum values,
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import int_row
+from .linalg import int_form, int_row
 from .model import ConstraintSystem, FarkasCertificate, check_certificate, farkas_sum
 
 _ZERO = Fraction(0)
@@ -116,12 +116,11 @@ class SimplexInstance:
     bounds on the stack.
 
     ``_rows`` maps each added row to the variable that carries it and its
-    scale: row ``coeffs . x <= b`` bounds ``x_var`` by ``b * q / p``, from
-    above when ``p > 0``, where ``x_var`` is the row's one variable with
-    its coefficient ``p / q``, or a slack ``x_var = coeffs . x`` with
-    ``p = q = 1`` (``var`` is None for a zero row).  With that map,
-    ``set_row_bounds`` replaces the bound of every row at once, on an empty
-    stack; it is the only operation that can loosen a bound.
+    scale: row ``(p / q) * (form . x) <= b`` bounds the form's variable
+    ``x_var`` (``_form_vars``) by ``b * q / p``, from above when ``p > 0``
+    (``var`` is None for a zero row).  With that map, ``set_row_bounds``
+    replaces the bound of every row at once, on an empty stack; it is the
+    only operation that can loosen a bound.
 
     The tableau is fraction-free: basic variable ``bv`` is defined by
     ``_den[bv] * x_bv = sum(c * x_k for k, c in _tab[bv].items())`` over
@@ -145,6 +144,7 @@ class SimplexInstance:
         self._den: dict[int, int] = {}
         self._trail: list[tuple] = []
         self._rows: list[tuple[Optional[int], int, int, BoundSource]] = []
+        self._form_vars: dict[tuple[int, ...], int] = {}
         self._dead: Optional[BoundSource] = None
         self.pivots = 0
 
@@ -153,23 +153,22 @@ class SimplexInstance:
     def add_row(self, coeffs: Sequence[Fraction], b: Fraction,
                 kind: str = "row", index: int = 0) -> None:
         """Add the inequality coeffs . x <= b for good."""
-        ints, den = int_row(coeffs)
-        self._add_int_row(ints, den, b, kind, index)
+        self._add_form_row(*int_form(*int_row(coeffs)), b, kind, index)
 
-    def _add_int_row(self, ints: list[int], den: int, b: Fraction,
-                     kind: str, index: int) -> None:
-        """Add (ints . x) / den <= b, with gcd(den, *ints) == 1."""
+    def _add_form_row(self, form: Optional[tuple[int, ...]], p: int, q: int,
+                      b: Fraction, kind: str, index: int) -> None:
+        """Add (p / q) * (form . x) <= b, as ``linalg.int_form`` splits a row."""
         if self._trail:
             raise ValueError("rows must be added before any bound is pushed")
-        support = [(j, c) for j, c in enumerate(ints) if c]
-        if not support:
+        if form is None:
             row = (None, 1, 1, BoundSource(kind, index))
-        elif len(support) == 1:
-            var, c = support[0]
-            scale = _ONE if abs(c) == den else Fraction(abs(c), den)
-            row = (var, c, den, BoundSource(kind, index, scale))
         else:
-            row = (self._alloc_slack(support, den), 1, 1, BoundSource(kind, index))
+            var = self._form_vars.get(form)
+            if var is None:
+                support = [(j, c) for j, c in enumerate(form) if c]
+                var = support[0][0] if len(support) == 1 else self._alloc_slack(support)
+                self._form_vars[form] = var
+            row = (var, p, q, BoundSource(kind, index, _ONE if abs(p) == q else Fraction(abs(p), q)))
         self._rows.append(row)
         self._bound_row(row, b)
 
@@ -227,11 +226,11 @@ class SimplexInstance:
             store[var] = (num, den, src)
         return old
 
-    def _alloc_slack(self, support: list[tuple[int, int]], den: int) -> int:
+    def _alloc_slack(self, support: list[tuple[int, int]]) -> int:
         s = len(self._beta)
         self._lo.append(None)
         self._up.append(None)
-        den, expr = self._combine(support, den)
+        den, expr = self._combine(support, 1)
         if not expr:
             raise SimplexInternalError("slack for a non-zero row reduced to nothing")
         self._beta.append(self._value(expr, den))
@@ -522,8 +521,8 @@ def _eliminate(row: dict[int, int], den: int, f: int, new: dict[int, int], p: in
 
 def instance_for(sys: ConstraintSystem) -> SimplexInstance:
     inst = SimplexInstance(sys.n)
-    for i, ((ints, den), b) in enumerate(zip(sys.int_rows, sys.bounds)):
-        inst._add_int_row(ints, den, b, "row", i)
+    for i, ((form, p, q), b) in enumerate(zip(sys.forms, sys.bounds)):
+        inst._add_form_row(form, p, q, b, "row", i)
     return inst
 
 

@@ -43,6 +43,7 @@ from .analysis import InfeasibleSystemError, Verdict, classify, split
 from .linalg import Matrix, TransformMatrix, is_lower_triangular_with_gaps, piv
 from .mehnf import batch_mehnf
 from .model import (
+    EXACT,
     Budget,
     ConstraintSystem,
     FarkasCertificate,
@@ -141,11 +142,13 @@ BranchRefutation = RefutationNode
 
 
 def _valid_cut(sys: ConstraintSystem, cut: Cut) -> bool:
-    if len(cut.coeffs) != sys.n or not any(cut.coeffs):
+    """Whether coeffs are zero on rational columns, integers on integer
+    ones and not all zero, and the value is an integer (all exact)."""
+    coeffs, value = cut.coeffs, cut.value
+    if len(coeffs) != sys.n or not all(isinstance(x, EXACT) for x in (*coeffs, value)):
         return False
-    if any(cut.coeffs[j] for j in range(sys.n1)):
-        return False
-    return all(cut.coeffs[j].denominator == 1 for j in range(sys.n1, sys.n))
+    return (value.denominator == 1 and any(coeffs) and not any(coeffs[:sys.n1])
+            and all(c.denominator == 1 for c in coeffs[sys.n1:]))
 
 
 def check_refutation(sys: ConstraintSystem, refutation) -> bool:
@@ -155,12 +158,17 @@ def check_refutation(sys: ConstraintSystem, refutation) -> bool:
     certificate of the system extended by the active sides of the cuts on
     its path.  A valid tree proves the system has no mixed solution.  One
     walk keeps the active cut sides of its path, and a leaf is summed over
-    the rows and path cuts it names only.
+    the rows and path cuts it names only.  A node object met twice (shared
+    or on a cycle) rejects the tree, so the walk always ends.
     """
     path: list[tuple[list[Fraction], Fraction]] = []
     work = [(refutation, 0, None)]   # (node, depth, active side of its parent's cut)
+    seen: set[int] = set()
     while work:
         node, depth, side = work.pop()
+        if id(node) in seen:
+            return False
+        seen.add(id(node))
         del path[depth:]
         if side is not None:
             path.append(side)

@@ -327,8 +327,10 @@ class RefSimplexInstance:
     rule; ``_lo``/``_up`` hold ``(value, source)`` and ``_beta`` holds one
     ``Fraction`` per variable.  ``_rows`` maps each added row to ``(var, c,
     source)``: row ``coeffs . x <= b`` is ``c * x_var <= b``, where
-    ``x_var`` is the row's one variable with its coefficient c, or a slack
-    ``x_var = coeffs . x`` with c = 1 (``var`` is None for a zero row).
+    ``coeffs = c * form`` for the row's primitive integer normal ``form``
+    (positive first entry, ``_ref_form``) and ``x_var`` is that form's one
+    variable: its column for a unit form, else the slack ``x_var = form .
+    x`` (``var`` is None for a zero row).
     """
 
     def __init__(self, nvars: int):
@@ -340,6 +342,7 @@ class RefSimplexInstance:
         self._den: dict[int, int] = {}
         self._trail: list[tuple] = []
         self._rows: list[tuple[Optional[int], Fraction, BoundSource]] = []
+        self._form_vars: dict[tuple[int, ...], int] = {}
         self._dead: Optional[BoundSource] = None
         self.pivots = 0
 
@@ -350,13 +353,12 @@ class RefSimplexInstance:
         """Add the inequality coeffs . x <= b for good."""
         if self._trail:
             raise ValueError("rows must be added before any bound is pushed")
-        support = [(j, c) for j, c in enumerate(coeffs) if c]
-        if not support:
-            var, c = None, _ONE
-        elif len(support) == 1:
-            var, c = support[0]
-        else:
-            var, c = self._alloc_slack(support), _ONE
+        form, c = _ref_form(coeffs)
+        var = self._form_vars.get(form)
+        if form is not None and var is None:
+            support = [(j, a) for j, a in enumerate(form) if a]
+            var = support[0][0] if len(support) == 1 else self._alloc_slack(support)
+            self._form_vars[form] = var
         row = (var, c, BoundSource(kind, index, abs(c)))
         self._rows.append(row)
         self._bound_row(row, b)
@@ -394,16 +396,13 @@ class RefSimplexInstance:
     # -- internals -------------------------------------------------------
 
     def _bound_row(self, row, b: Fraction) -> None:
-        """Bound row (var, c, src), c * x_var = coeffs . x, by b.
-
-        A slack's c is ``_ONE`` itself, so its bound needs no division.
-        """
+        """Bound row (var, c, src), c * x_var = coeffs . x, by b."""
         var, c, src = row
         if var is None:
             if b < 0:
                 self._dead = src
         else:
-            self._tighten(var, "up" if c > 0 else "lo", b if c is _ONE else b / c, src)
+            self._tighten(var, "up" if c > 0 else "lo", b / c, src)
 
     def _tighten(self, var, side, value, src):
         """Keep the tighter of value and var's bound on side; return the old bound."""
@@ -413,7 +412,7 @@ class RefSimplexInstance:
             store[var] = (value, src)
         return old
 
-    def _alloc_slack(self, support: list[tuple[int, Fraction]]) -> int:
+    def _alloc_slack(self, support: list[tuple[int, int]]) -> int:
         s = len(self._beta)
         self._lo.append(None)
         self._up.append(None)
@@ -605,6 +604,18 @@ class RefSimplexInstance:
                 dden = _eliminate(d, dden, d.pop(j), self._tab[j], self._den[j])
 
 
+def _ref_form(coeffs: Sequence[Fraction]) -> tuple[Optional[tuple[int, ...]], Fraction]:
+    """(form, c) with coeffs == c * form, form the primitive integer normal
+    with a positive first non-zero entry; (None, 1) for a zero row."""
+    lead = next((a for a in coeffs if a), None)
+    if lead is None:
+        return None, _ONE
+    den = math.lcm(*(Fraction(a).denominator for a in coeffs))
+    ints = [int(a * den) for a in coeffs]
+    g = math.gcd(*ints) if lead > 0 else -math.gcd(*ints)
+    return tuple(v // g for v in ints), Fraction(g, den)
+
+
 def _scaled(x: Fraction, num: int, den: int) -> Fraction:
     """x * num / den for integers num and den != 0."""
     return Fraction(x.numerator * num, x.denominator * den)
@@ -642,6 +653,8 @@ def ref_check_refutation(sys, refutation) -> bool:
 
     Each leaf is checked as a Farkas certificate over a new system: all
     rows of sys, then the active sides of the cuts on the leaf's path.
+    A cut's value must be an integer; this check is its own, so that it
+    does not rest on ``_valid_cut`` alone.
     """
     if isinstance(refutation, RefutationLeaf):
         return not refutation.cut_mults and _ref_check_leaf(sys, refutation, [])
@@ -659,7 +672,7 @@ def ref_check_refutation(sys, refutation) -> bool:
                 if not _ref_check_leaf(sys, node, path):
                     return False
                 continue
-            if not _valid_cut(sys, node.cut):
+            if not _valid_cut(sys, node.cut) or Fraction(node.cut.value).denominator != 1:
                 return False
             path.append((node.cut, "low"))
             work.append(("leave", None))

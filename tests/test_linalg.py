@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from mehsolve.linalg import (
     column_reduce,
     format_matrix,
     hermite_normal_form,
+    int_form,
     int_row,
     is_hermite_normal_form,
     is_lower_triangular_with_gaps,
@@ -265,6 +267,21 @@ def test_int_row():
     assert int_row([Fraction(1, 2), Fraction(-2, 3), Fraction(0)]) == ([3, -4, 0], 6)
     assert int_row([Fraction(4), Fraction(-6)]) == ([4, -6], 1)
     assert int_row([]) == ([], 1)
+
+
+@given(st.lists(small_fractions, min_size=1, max_size=4), small_fractions)
+def test_int_form(row, r):
+    # row = (p / q) * form, with form primitive and its first non-zero
+    # entry positive, so a non-zero multiple r * row has the same form.
+    form, p, q = int_form(*int_row(row))
+    if not any(row):
+        assert (form, p, q) == (None, 0, 1)
+        return
+    assert [Fraction(p, q) * c for c in form] == row
+    assert next(c for c in form if c) > 0 and math.gcd(*form) == 1
+    assert q > 0 and math.gcd(p, q) == 1
+    if r:
+        assert int_form(*int_row([r * a for a in row]))[0] == form
 
 
 class TestInvert:

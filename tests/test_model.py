@@ -49,10 +49,11 @@ class TestConstraintSystem:
     @given(systems(), st.lists(st.integers(0, 4), max_size=6), st.booleans())
     def test_subset_is_the_system_of_its_rows(self, sys, picks, converted):
         # subset skips the constructor's checks, which its rows have passed,
-        # and hands on the integer rows when they are already computed.
+        # and hands on the integer rows and forms when they are already
+        # computed.
         rows = [i % sys.m for i in picks]
         if converted:
-            sys.int_rows
+            sys.forms
         sub = sys.subset(rows)
         fresh = ConstraintSystem(Matrix([sys.matrix.rows[i] for i in rows]) if rows
                                  else Matrix.zeros(0, sys.n),
@@ -60,8 +61,9 @@ class TestConstraintSystem:
         assert (sub.matrix, sub.bounds, sub.variables, sub.n1, sub.user_perm) == \
             (fresh.matrix, fresh.bounds, fresh.variables, fresh.n1, fresh.user_perm)
         assert (sub.m, sub.n) == (fresh.m, fresh.n)
-        assert ("int_rows" in vars(sub)) == converted
+        assert ("int_rows" in vars(sub)) == ("forms" in vars(sub)) == converted
         assert sub.int_rows == fresh.int_rows
+        assert sub.forms == fresh.forms
         before = [row[:] for row in sys.matrix.rows]
         for row in sub.matrix.rows:
             row[:] = [Fraction(7)] * sys.n
@@ -117,6 +119,13 @@ class TestCheckModel:
         with pytest.raises(DimensionMismatchError):
             check_model(sec3_system(), Model([Fraction(0)]))
 
+    def test_inexact_value_rejected(self):
+        # Only ints and Fractions: a float would make the row sums inexact.
+        sys = mk_system([[1, 0], [0, 1]], [1, 1], "qz")
+        assert check_model(sys, Model([Fraction(1, 2), 1]))
+        assert not check_model(sys, Model([0.5, Fraction(1)]))
+        assert not check_model(sys, Model([Fraction(1, 2), 1.0]))
+
 
 class TestCheckCertificate:
     def test_valid_pair(self):
@@ -130,6 +139,11 @@ class TestCheckCertificate:
     def test_negative_multiplier_rejected(self):
         sys = mk_system([[1], [-1]], [0, -1], "q")
         assert not check_certificate(sys, FarkasCertificate([Fraction(-1), Fraction(-1)]))
+
+    def test_inexact_multiplier_rejected(self):
+        sys = mk_system([[1], [-1]], [0, -1], "q")
+        assert check_certificate(sys, FarkasCertificate([1, Fraction(1)]))
+        assert not check_certificate(sys, FarkasCertificate([1.0, Fraction(1)]))
 
     @given(st.lists(st.integers(0, 5), min_size=2, max_size=2))
     def test_feasible_system_has_no_certificate(self, y):

@@ -5,7 +5,8 @@ Every Sat or Unsat result is re-checked by ``check_model``,
 test solves a fixed corpus in a ``python -O`` subprocess, where every
 ``assert`` and ``__debug__`` block is stripped, re-verifies each result
 there, and requires the same verdicts as the assert-enabled run.  Another
-scans the package source: it holds no ``assert`` statement at all.
+scans the package source: it holds no ``assert`` statement and raises no
+bare ``AssertionError``.
 """
 
 import ast
@@ -78,10 +79,19 @@ def test_verdicts_hold_without_asserts():
     assert {v for _, v in expected} == {"sat", "unsat"}
 
 
+def _raises_assertion_error(node) -> bool:
+    """``raise AssertionError`` or ``raise AssertionError(...)``."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statement_in_the_package():
+    # An engine bug raises one of the package's own errors (such as
+    # simplex.SimplexInternalError), never a bare AssertionError.
     src = TESTS.parent / "src" / "mehsolve"
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Raise) and _raises_assertion_error(node)]
     assert not found

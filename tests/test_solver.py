@@ -1,8 +1,11 @@
 import math
+import os
 import random
+import subprocess
 import sys as _pysys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +18,7 @@ from mehsolve.linalg import Matrix
 from mehsolve.mehnf import batch_mehnf
 from mehsolve.model import (
     Budget,
+    ConstraintSystem,
     FarkasCertificate,
     Model,
     Sat,
@@ -228,6 +232,64 @@ class TestCheckRefutation:
             RefutationLeaf({0: Fraction(1, 3)}, {0: Fraction(1)}),
         )
         assert check_refutation(sys, good)
+
+    def test_rejects_fractional_cut_value(self):
+        # x = 1 with x integer is satisfiable.  Splitting at x <= 1/2 or
+        # x >= 3/2 skips x = 1, and both leaves hold; only the value's
+        # integrality rules the tree out.
+        sys = mk_system([[1], [-1]], [1, -1], "z")
+        assert isinstance(solve(sys), Sat)
+        bogus = RefutationNode(Cut((Fraction(1),), Fraction(1, 2)),
+                               RefutationLeaf({1: Fraction(1)}, {0: Fraction(1)}),
+                               RefutationLeaf({0: Fraction(1)}, {0: Fraction(1)}))
+        assert not check_refutation(sys, bogus)
+        assert not ref_check_refutation(sys, bogus)
+
+    @pytest.mark.parametrize("field, value", [
+        ("value", 0.0), ("coeffs", (1.0,)), ("row_mults", {1: 1 / 3}), ("cut_mults", {0: 1.0})])
+    def test_rejects_inexact_numbers(self, field, value):
+        # The band refutation above with one number made a float.
+        sys = mk_system([[3], [-3]], [2, -1], "z")
+        cut = {"coeffs": (1,), "value": 0}
+        low = {"row_mults": {1: Fraction(1, 3)}, "cut_mults": {0: 1}}
+        assert check_refutation(sys, RefutationNode(
+            Cut(**cut), RefutationLeaf(**low), RefutationLeaf({0: Fraction(1, 3)}, {0: 1})))
+        (cut if field in cut else low)[field] = value
+        assert not check_refutation(sys, RefutationNode(
+            Cut(**cut), RefutationLeaf(**low), RefutationLeaf({0: Fraction(1, 3)}, {0: 1})))
+
+    def test_rejects_shared_nodes(self):
+        # 16 levels, each node's one child both low and high: 2**16 paths
+        # through 17 objects.  Walked path by path, its check took over a
+        # second; it is rejected at the first object met twice.
+        sys = mk_system([[1], [-1]], [0, -1], "z")
+        node = RefutationLeaf({0: Fraction(1), 1: Fraction(1)}, {})
+        for _ in range(16):
+            node = RefutationNode(Cut((Fraction(1),), 0), node, node)
+        started = time.monotonic()
+        assert not check_refutation(sys, node)
+        assert time.monotonic() - started < 0.5
+
+    def test_rejects_a_cycle(self):
+        # A node that is its own child: the check must end.  In a
+        # subprocess, so that a check that does not end fails the test.
+        code = ("from fractions import Fraction\n"
+                "from mehsolve.model import ConstraintSystem, VarInfo, VarKind\n"
+                "from mehsolve.linalg import Matrix\n"
+                "from mehsolve.solver import Cut, RefutationLeaf, RefutationNode, check_refutation\n"
+                "sys = ConstraintSystem(Matrix([[1], [-1]]), [0, -1], [VarInfo('x', VarKind.INTEGER)])\n"
+                "leaf = RefutationLeaf({0: Fraction(1), 1: Fraction(1)}, {})\n"
+                "node = RefutationNode(Cut((Fraction(1),), 0), leaf, leaf)\n"
+                "node.low = node\n"
+                "print(check_refutation(sys, node))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([_pysys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 def boxed_band(k, lo, hi, n):
@@ -452,6 +514,45 @@ class TestCheckRefutationAgainstReference:
             assert check_refutation(sys, res.certificate)
         finally:
             _pysys.setrecursionlimit(limit)
+
+
+def _same_polyhedron(sys, rng):
+    """sys with its rows scaled by positive integers, with one row repeated,
+    and with its rows shuffled: the same solutions, other row lists."""
+    rows, bounds = sys.matrix.rows, sys.bounds
+    scales = [rng.randint(1, 5) for _ in rows]
+    twice = rng.randrange(sys.m)
+    order = rng.sample(range(sys.m), sys.m)
+    for picked, mults in (
+            (range(sys.m), scales),
+            ([*range(sys.m), twice], [1] * (sys.m + 1)),
+            (order, [1] * sys.m)):
+        yield ConstraintSystem(Matrix([[k * a for a in rows[i]] for i, k in zip(picked, mults)]),
+                               [k * bounds[i] for i, k in zip(picked, mults)],
+                               sys.variables, sys.user_perm)
+
+
+def test_verdict_and_classification_ignore_how_rows_are_written():
+    # Scaled, repeated and reordered rows change the form table's scales,
+    # its rows per form and its order, never the polyhedron: the verdict
+    # and the classification stay.
+    rng = random.Random(20261021)
+    families = [corpus.bounded_instance, corpus.absolutely_unbounded_instance,
+                corpus.partially_unbounded_instance, corpus.band_unsat_instance]
+    seen = set()
+    for _ in range(8):
+        for family in families:
+            sys = family(rng)
+            res = solve(sys)
+            want = (type(res), res.stats.classification)
+            seen.add(want)
+            for variant in _same_polyhedron(sys, rng):
+                res = solve(variant)
+                assert_witness_holds(variant, res)
+                assert (type(res), res.stats.classification) == want
+    assert {cls for _, cls in seen} >= {"bounded", "absolutely-unbounded",
+                                        "partially-unbounded"}
+    assert {verdict for verdict, _ in seen} == {Sat, Unsat}
 
 
 class TestMixedExtension:
